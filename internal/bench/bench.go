@@ -103,7 +103,6 @@ type Run struct {
 	Config     string `json:"config"`
 	Method     string `json:"method"`
 	Matcher    string `json:"matcher"`
-	Fused      bool   `json:"fused"`
 	Threads    int    `json:"threads"`
 	Iterations int    `json:"iterations"`
 	Reps       int    `json:"reps"`
@@ -119,25 +118,15 @@ type Run struct {
 	TotalNs       int64   `json:"total_ns"`
 	// Objective cross-checks correctness: entries for the same config,
 	// seed and iteration count must agree regardless of threads or
-	// kernel fusion.
+	// reordering.
 	Objective float64 `json:"objective"`
 	// StepNs is the per-step StepTimer breakdown of the fastest rep.
 	StepNs   map[string]int64 `json:"step_ns,omitempty"`
 	Recorded string           `json:"recorded,omitempty"`
-	// Pipeline records whether the pipelined rounding engine was
-	// requested; Reorder the locality reordering mode. Both are
+	// Reorder records the locality reordering mode. It is
 	// bit-identical to the default path, so entries differing only in
-	// these fields must report the same Objective.
-	Pipeline bool   `json:"pipeline,omitempty"`
-	Reorder  string `json:"reorder,omitempty"`
-	// OverlapNs, StallNs and HiddenMatchNs attribute the pipelined
-	// rounding of the fastest rep: OverlapNs is match/objective work
-	// run concurrently with the sweep, StallNs the time the sweep
-	// waited for a free pipeline slot, and HiddenMatchNs =
-	// max(0, OverlapNs-StallNs) the net barrier cost hidden.
-	OverlapNs     int64 `json:"overlap_ns,omitempty"`
-	StallNs       int64 `json:"stall_ns,omitempty"`
-	HiddenMatchNs int64 `json:"hidden_match_ns,omitempty"`
+	// this field must report the same Objective.
+	Reorder string `json:"reorder,omitempty"`
 }
 
 // Host describes the measuring machine.
@@ -345,13 +334,6 @@ type MeasureOptions struct {
 	Label   string
 	// Matcher is the rounding matcher spec text (empty = approx).
 	Matcher string
-	// Fused selects the fused othermax+damping kernels (BP only).
-	Fused bool
-	// Pipeline overlaps the rounding/objective step with the next
-	// sweep (bit-identical; only effective at >= 2 threads).
-	Pipeline bool
-	// PipelineDepth is the number of in-flight batches (0 = default).
-	PipelineDepth int
 	// Reorder is the locality reordering mode: "", none, auto, degree
 	// or rcm (bit-identical).
 	Reorder string
@@ -429,22 +411,21 @@ func MeasureConfig(cfg Config, o MeasureOptions) ([]Run, error) {
 // reflects the steady-state hot path.
 func measureOne(p *core.Problem, cfg Config, o MeasureOptions, spec matching.MatcherSpec, reorder core.ReorderOptions, threads int) (Run, error) {
 	ws := core.NewWorkspace()
-	pipeline := core.PipelineOptions{Enabled: o.Pipeline, Depth: o.PipelineDepth}
 	solve := func(timer *stats.StepTimer) (*core.AlignResult, error) {
 		switch cfg.Method {
 		case "bp":
 			res, err := p.Align(context.Background(), core.Options{Method: core.MethodBP, BP: core.BPOptions{
 				Iterations: o.Iters, Batch: cfg.Batch, Threads: threads,
-				Matcher: spec, FuseKernels: o.Fused, Workspace: ws,
+				Matcher: spec, Workspace: ws,
 				SkipFinalExact: true, Timer: timer,
-			}, Pipeline: pipeline, Reorder: reorder})
+			}, Reorder: reorder})
 			return res, err
 		case "mr":
 			res, err := p.Align(context.Background(), core.Options{Method: core.MethodMR, MR: core.MROptions{
 				Iterations: o.Iters, Threads: threads,
 				Matcher: spec, Workspace: ws,
 				SkipFinalExact: true, Timer: timer,
-			}, Pipeline: pipeline, Reorder: reorder})
+			}, Reorder: reorder})
 			return res, err
 		default:
 			return nil, fmt.Errorf("bench: config %s has unknown method %q", cfg.Name, cfg.Method)
@@ -458,10 +439,9 @@ func measureOne(p *core.Problem, cfg Config, o MeasureOptions, spec matching.Mat
 
 	run := Run{
 		Label: o.Label, Config: cfg.Name, Method: cfg.Method, Matcher: spec.String(),
-		Fused: o.Fused && cfg.Method == "bp", Threads: threads,
-		Iterations: o.Iters, Reps: o.Reps, Seed: o.Seed,
+		Threads: threads, Iterations: o.Iters, Reps: o.Reps, Seed: o.Seed,
 		Recorded: time.Now().UTC().Format(time.RFC3339),
-		Pipeline: o.Pipeline, Reorder: reorder.Mode.String(),
+		Reorder:  reorder.Mode.String(),
 	}
 	if reorder.Mode == core.ReorderNone {
 		run.Reorder = "" // omitempty: keep default-path entries unchanged
@@ -493,12 +473,6 @@ func measureOne(p *core.Problem, cfg Config, o MeasureOptions, spec matching.Mat
 				steps[step] = d.Nanoseconds()
 			}
 			run.StepNs = steps
-			run.OverlapNs, run.StallNs, run.HiddenMatchNs = 0, 0, 0
-			if pr := res.Pipeline; pr != nil {
-				run.OverlapNs = pr.OverlapNs
-				run.StallNs = pr.StallNs
-				run.HiddenMatchNs = pr.HiddenMatchNs
-			}
 		}
 	}
 	return run, nil

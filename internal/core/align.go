@@ -53,10 +53,6 @@ type Options struct {
 	BP BPOptions
 	// MR configures MethodMR.
 	MR MROptions
-	// Pipeline configures pipelined batched rounding (overlapping the
-	// matching step with the next sweep); the zero value keeps the
-	// classic barrier path. Results are bit-identical either way.
-	Pipeline PipelineOptions
 	// Reorder configures the locality reordering of S's row storage;
 	// the zero value keeps the canonical order. Results are
 	// bit-identical either way.
@@ -76,9 +72,9 @@ func (p *Problem) Align(ctx context.Context, o Options) (*AlignResult, error) {
 	}
 	switch o.Method {
 	case MethodBP:
-		return p.bpAlign(ctx, o.BP, o.Pipeline, o.Reorder)
+		return p.bpAlign(ctx, o.BP, o.Reorder)
 	case MethodMR:
-		return p.mrAlign(ctx, o.MR, o.Pipeline, o.Reorder)
+		return p.mrAlign(ctx, o.MR, o.Reorder)
 	default:
 		err := fmt.Errorf("core: unknown method %d", o.Method)
 		res := p.emptyResult()

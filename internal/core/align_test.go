@@ -112,15 +112,6 @@ func TestBPBatchEquivalence(t *testing.T) {
 	}
 }
 
-func TestBPTaskParallelOthermaxEquivalent(t *testing.T) {
-	p := smallSynthetic(t, 19)
-	a := p.BPAlign(core.BPOptions{Iterations: 15, TaskParallelOthermax: false})
-	b := p.BPAlign(core.BPOptions{Iterations: 15, TaskParallelOthermax: true, Threads: 4})
-	if math.Abs(a.Objective-b.Objective) > 1e-9 {
-		t.Fatalf("task-parallel othermax changed result: %g vs %g", a.Objective, b.Objective)
-	}
-}
-
 func TestKlauApproxDegradesOrMatches(t *testing.T) {
 	// Fig 2's other half: MR is sensitive to approximate rounding; at
 	// minimum the approx variant must stay a valid matching and not
@@ -178,10 +169,14 @@ func TestStepTimersRecordAllSteps(t *testing.T) {
 	}
 	bpTimer := stats.NewStepTimer()
 	p.BPAlign(core.BPOptions{Iterations: 5, Batch: 4, Timer: bpTimer})
-	for _, step := range []string{core.BPStepBoundF, core.BPStepComputeD, core.BPStepOthermax, core.BPStepUpdateS, core.BPStepDamping} {
+	for _, step := range []string{core.BPStepBoundF, core.BPStepComputeD, core.BPStepOthermax, core.BPStepUpdateS} {
 		if bpTimer.Count(step) != 5 {
 			t.Fatalf("BP step %q recorded %d times, want 5", step, bpTimer.Count(step))
 		}
+	}
+	// Damping runs inside the othermax and updateS sweeps.
+	if n := bpTimer.Count(core.BPStepDamping); n != 0 {
+		t.Fatalf("BP step %q recorded %d times, want 0", core.BPStepDamping, n)
 	}
 	if bpTimer.Count(core.BPStepMatch) == 0 {
 		t.Fatal("BP matching step never recorded")
@@ -215,12 +210,12 @@ func TestThreadCountInvariance(t *testing.T) {
 	// the thread count for either method.
 	p := smallSynthetic(t, 47)
 	mr1 := p.KlauAlign(core.MROptions{Iterations: 12, Threads: 1})
-	mr4 := p.KlauAlign(core.MROptions{Iterations: 12, Threads: 4, Chunk: 8})
+	mr4 := p.KlauAlign(core.MROptions{Iterations: 12, Threads: 4})
 	if math.Abs(mr1.Objective-mr4.Objective) > 1e-9 {
 		t.Fatalf("MR thread variance: %g vs %g", mr1.Objective, mr4.Objective)
 	}
 	bp1 := p.BPAlign(core.BPOptions{Iterations: 12, Threads: 1})
-	bp4 := p.BPAlign(core.BPOptions{Iterations: 12, Threads: 4, Chunk: 8, Batch: 4})
+	bp4 := p.BPAlign(core.BPOptions{Iterations: 12, Threads: 4, Batch: 4})
 	if math.Abs(bp1.Objective-bp4.Objective) > 1e-9 {
 		t.Fatalf("BP thread variance: %g vs %g", bp1.Objective, bp4.Objective)
 	}

@@ -21,6 +21,13 @@ const (
 	BPStepMatch    = "match"    // Step 6: rounding (possibly batched)
 )
 
+// The solver evaluates step 5 inside steps 3 and 4: the othermax step
+// blends the new y and z with their predecessors as it writes them,
+// and the updateS step does the same for S^(k), so one sweep over each
+// index space does both. The step timer therefore records nothing
+// under BPStepDamping; the name remains for the fault-injection hook
+// on the damped state and for the per-step traffic model.
+
 // Damping selects how BP iterates are blended with their predecessors
 // (Section III-B: "We only describe one type of damping. See [13] for
 // other variations.").
@@ -67,25 +74,6 @@ type BPOptions struct {
 	Batch int
 	// Threads is the worker count (<= 0 means GOMAXPROCS).
 	Threads int
-	// Chunk is the dynamic-schedule chunk size (0 = 1000).
-	Chunk int
-	// Sched selects the scheduling policy for the S-indexed loops
-	// (default Dynamic, the paper's choice); the scaling studies vary
-	// it in place of the paper's NUMA memory-layout axis. Sched only
-	// applies under PartitionChunked: the default balanced partition
-	// replaces chunked scheduling entirely.
-	Sched parallel.Schedule
-	// Partition selects how the parallel loops split their index
-	// spaces: PartitionBalanced (default) precomputes contiguous
-	// per-worker ranges of near-equal nonzero count once per problem;
-	// PartitionChunked restores the legacy chunked schedules. The
-	// iterates and the result are bit-identical either way.
-	Partition Partition
-	// NoPool disables the per-run persistent worker pool, making every
-	// parallel region spawn goroutines as earlier versions did. Output
-	// is identical; the option exists for the scheduling studies and
-	// as an escape hatch.
-	NoPool bool
 	// Rounding is the matcher used to round iterates; nil selects
 	// exact matching, matching.Approx gives the paper's substitution.
 	// Unlike MR, BP's iterate sequence is independent of this choice —
@@ -101,26 +89,11 @@ type BPOptions struct {
 	// The solver builds one reusable matcher per batch slot from it,
 	// which is what makes steady-state rounding allocation-free.
 	Matcher matching.MatcherSpec
-	// FuseKernels fuses the othermax-subtraction and damping passes
-	// into one edge-indexed sweep, and the S-update and S-damping
-	// passes into a single S-indexed sweep — one read of S's nonzeros
-	// per iteration instead of two. The arithmetic is evaluated in the
-	// same order as the unfused path, so iterates are bit-identical.
-	// Ignored (the unfused path runs) when Faults is set, since the
-	// fault hooks target the per-step intermediate vectors. The
-	// per-step timer then reports the fused sweeps under the othermax
-	// and updateS names and records nothing under damping.
-	FuseKernels bool
 	// Workspace supplies reusable solver buffers; nil allocates a
 	// private one for the solve. Handing the same workspace to
 	// successive solves on same-shaped problems removes the per-solve
 	// buffer allocations too. A workspace serves one solve at a time.
 	Workspace *Workspace
-	// TaskParallelOthermax computes othermaxrow and othermaxcol
-	// concurrently, the reorganization sketched in the paper's
-	// discussion ("the othermax functions could be computed
-	// independently"). Off by default.
-	TaskParallelOthermax bool
 	// SkipFinalExact disables the final exact rounding of the best
 	// heuristic (used by the scaling studies).
 	SkipFinalExact bool
@@ -174,9 +147,6 @@ func (o *BPOptions) defaults() BPOptions {
 	if opts.Batch <= 0 {
 		opts.Batch = 1
 	}
-	if opts.Chunk <= 0 {
-		opts.Chunk = parallel.DefaultChunk
-	}
 	return opts
 }
 
@@ -207,7 +177,14 @@ func (p *Problem) BPAlignCtx(ctx context.Context, o BPOptions) (*AlignResult, er
 // likelihoods d, applies the othermax exclusion updates, rescales
 // S^(k), damps all three with weight γ^k, and rounds the damped y and
 // z iterates to matchings whose objectives are tracked; the best
-// heuristic is exact-rounded at the end.
+// heuristic is exact-rounded at the end. Damping is folded into the
+// sweeps that produce the damped vectors: one pass over the edges
+// computes and blends y and z, and one pass over S's nonzeros computes
+// and blends S^(k), so every message is written once per iteration
+// (the update order of Bayati et al.'s BP). The float operations and
+// their order are those of the step-by-step listing, so the iterates
+// are bit-identical to it (pinned against a serial reference in the
+// tests).
 //
 // Cancelling the context (or hitting its deadline) stops the run
 // mid-iteration in bounded time and returns the best matching found so
@@ -222,17 +199,14 @@ func (p *Problem) BPAlignCtx(ctx context.Context, o BPOptions) (*AlignResult, er
 //
 // All buffers come from the workspace and every kernel closure is
 // created once before the loop, so steady-state iterations perform no
-// heap allocations at Threads=1 (at higher thread counts the parallel
-// constructs spawn goroutines, which inherently allocate).
-func (p *Problem) bpAlign(ctx context.Context, o BPOptions, po PipelineOptions, ro ReorderOptions) (*AlignResult, error) {
+// heap allocations at Threads=1.
+func (p *Problem) bpAlign(ctx context.Context, o BPOptions, ro ReorderOptions) (*AlignResult, error) {
 	opts := o.defaults()
-	threads, chunk := opts.Threads, opts.Chunk
-	sched := opts.Sched
+	threads := opts.Threads
 	timer := opts.Timer
 	nnz := p.S.NNZ()
 	mEL := p.L.NumEdges()
-	total := parallel.Threads(threads)
-	serial := total == 1
+	serial := parallel.Threads(threads) == 1
 
 	tr := &Tracker{Trace: opts.Trace}
 	guard := newNumericGuard(opts.GuardLimit)
@@ -247,47 +221,28 @@ func (p *Problem) bpAlign(ctx context.Context, o BPOptions, po PipelineOptions, 
 		return res, err
 	}
 
-	// Pipelined rounding engages only for parallel, fault-free runs;
-	// everything else keeps the barrier path (same bits either way).
-	pipelined := po.Enabled && !serial && opts.Faults == nil
-	pcfg := po.withDefaults(total)
-	nSlots := opts.Batch + 1
-	if pipelined {
-		nSlots = pcfg.Depth * (opts.Batch + 1)
-	}
-
 	ws := opts.Workspace
 	if ws == nil {
 		ws = NewWorkspace()
 	}
 	ws.ensureBP(mEL, nnz)
 	key, mk := matcherFactory(opts.Rounding, opts.Matcher)
-	if err := ws.ensureRound(p, key, mk, nSlots); err != nil {
+	if err := ws.ensureRound(p, key, mk, opts.Batch+1); err != nil {
 		res := p.emptyResult()
 		res.Err = err
 		return res, err
 	}
 	// The run's parallel-region dispatcher: a persistent worker pool
 	// (created once, parked between regions) plus the per-problem
-	// nnz-balanced partitions cached in the workspace. With the
-	// pipeline on, the sweeps run on the workers the collector does
-	// not use; every dispatched loop is thread-count invariant, so
-	// shrinking the sweep budget changes no bits.
-	execThreads := threads
-	if pipelined {
-		execThreads = total - pcfg.MatchWorkers
-		if execThreads < 1 {
-			execThreads = 1
-		}
-	}
-	e := newExec(p, ws, execThreads, chunk, sched, opts.Partition, opts.NoPool, view)
+	// nnz-balanced partitions cached in the workspace.
+	e := newExec(p, ws, threads, view)
 	defer e.close()
 
 	y, z := ws.y, ws.z
 	yPrev, zPrev := ws.yPrev, ws.zPrev
 	sk, skPrev := ws.sk, ws.skPrev
 	d, om, om2, f := ws.d, ws.om, ws.om2, ws.f
-	yu, zu := ws.yu, ws.zu
+	rowScale := ws.rowScale
 	zeroFloat64(y, z, yPrev, zPrev, sk, skPrev)
 	gammaK := 1.0
 	startIter := 1
@@ -345,10 +300,8 @@ func (p *Problem) bpAlign(ctx context.Context, o BPOptions, po PipelineOptions, 
 		rowOf = view.rows
 	}
 
-	fused := opts.FuseKernels && opts.Faults == nil
-
 	// g is the current iteration's damping weight, set before the
-	// damping (or fused) sweeps run; the kernels read it by capture.
+	// sweeps run; the kernels read it by capture.
 	var g float64
 
 	// The kernel closures are hoisted out of the iteration loop: a
@@ -381,117 +334,51 @@ func (p *Problem) bpAlign(ctx context.Context, o BPOptions, po PipelineOptions, 
 			d[r] = alpha*w[r] + s
 		}
 	}
-	// Step 3 tail: y = d − othermaxcol(z⁽ᵏ⁻¹⁾), z = d − othermaxrow(y⁽ᵏ⁻¹⁾).
-	othermaxEdges := func(lo, hi int) {
-		for e := lo; e < hi; e++ {
-			y[e] = d[e] - om2[e]
-			z[e] = d[e] - om[e]
-		}
-	}
-	// Step 4: S^(k) = diag(y + z − d)·S − F (row rescale minus F).
-	updateS := func(lo, hi int) {
-		for k := lo; k < hi; k++ {
-			r := sRow[k]
-			sk[k] = (y[r]+z[r]-d[r])*sVal[k] - f[k]
-		}
-	}
-	// Step 5: damping against the previous iterates. The guard's
-	// tighten factor (< 1 after a numeric rollback) is already folded
-	// into g so a diverging message sequence moves more slowly.
-	dampEdges := func(lo, hi int) {
-		for e := lo; e < hi; e++ {
-			y[e] = g*y[e] + (1-g)*yPrev[e]
-			z[e] = g*z[e] + (1-g)*zPrev[e]
-		}
-	}
-	dampS := func(lo, hi int) {
-		for k := lo; k < hi; k++ {
-			sk[k] = g*sk[k] + (1-g)*skPrev[k]
-		}
-	}
-	// Fused sweeps: the same float operations in the same order as the
-	// unfused pairs above, evaluated in one pass over each index
-	// space. The undamped values (yu, zu) are kept because the S
-	// update consumes them.
-	fusedEdges := func(lo, hi int) {
+	// Steps 3 and 5 on the edges: y = d − othermaxcol(z⁽ᵏ⁻¹⁾) and
+	// z = d − othermaxrow(y⁽ᵏ⁻¹⁾), each damped against its predecessor
+	// as it is written. The guard's tighten factor (< 1 after a
+	// numeric rollback) is already folded into g so a diverging message
+	// sequence moves more slowly. Step 4's row factor y + z − d of the
+	// undamped messages is kept for the S sweep.
+	edgeSweep := func(lo, hi int) {
 		for e := lo; e < hi; e++ {
 			yv := d[e] - om2[e]
 			zv := d[e] - om[e]
-			yu[e] = yv
-			zu[e] = zv
+			rowScale[e] = yv + zv - d[e]
 			y[e] = g*yv + (1-g)*yPrev[e]
 			z[e] = g*zv + (1-g)*zPrev[e]
 		}
 	}
-	fusedS := func(lo, hi int) {
+	// Steps 4 and 5 on S: S^(k) = diag(y + z − d)·S − F, damped against
+	// S^(k−1) as it is written.
+	sSweep := func(lo, hi int) {
 		for k := lo; k < hi; k++ {
-			r := sRow[k]
-			t := (yu[r]+zu[r]-d[r])*sVal[k] - f[k]
+			t := rowScale[sRow[k]]*sVal[k] - f[k]
 			sk[k] = g*t + (1-g)*skPrev[k]
 		}
 	}
 	// The othermax scans read yPrev/zPrev through capture so the
 	// post-damping swaps stay visible; dispatched over L's vertex sets
 	// with the degree-balanced partitions.
-	omRowsBody := func(lo, hi int) { othermaxRowsRange(om, yPrev, p.L, lo, hi) }
-	omColsBody := func(lo, hi int) { othermaxColsRange(om2, zPrev, p.L, lo, hi) }
-	omTasks := []func(int){
-		func(t int) { othermaxColsInto(om2, zPrev, p.L, t, chunk) },
-		func(t int) { othermaxRowsInto(om, yPrev, p.L, t, chunk) },
-	}
-	othermaxScan := func() {
-		if opts.TaskParallelOthermax {
-			e.runTasks(omTasks)
-			return
-		}
-		e.forLCols(p.L.NB, omColsBody)
-		e.forLRows(p.L.NA, omRowsBody)
-	}
+	omRows := func(lo, hi int) { othermaxRowsRange(om, yPrev, p.L, lo, hi) }
+	omCols := func(lo, hi int) { othermaxColsRange(om2, zPrev, p.L, lo, hi) }
 	step1 := func() { e.forNNZ(ctx, nnz, boundF) }
 	step2 := func() { e.forSRows(ctx, mEL, computeD) }
 	step3 := func() {
-		othermaxScan()
-		e.forEdges(mEL, othermaxEdges)
+		e.forLCols(p.L.NB, omCols)
+		e.forLRows(p.L.NA, omRows)
+		e.forEdges(mEL, edgeSweep)
 	}
-	step4 := func() { e.forNNZ(ctx, nnz, updateS) }
-	step5 := func() {
-		e.forEdges(mEL, dampEdges)
-		e.forNNZ(ctx, nnz, dampS)
-	}
-	step3Fused := func() {
-		othermaxScan()
-		e.forEdges(mEL, fusedEdges)
-	}
-	step4Fused := func() { e.forNNZ(ctx, nnz, fusedS) }
+	step4 := func() { e.forNNZ(ctx, nnz, sSweep) }
 
 	// Pending rounding slots (the batch) and their parallel tasks.
+	slots := ws.slots
 	pendLen := 0
 	var numericEvents atomic.Int64
 
-	// With the pipeline on, batches round on the collector goroutine
-	// while the loop sweeps ahead; slots then come from the ring's
-	// current group instead of the workspace's flat prefix.
-	var pipe *roundingPipeline
-	if pipelined {
-		work := func(s *roundSlot) {
-			if !finiteVector(s.heur) {
-				numericEvents.Add(1)
-				return
-			}
-			p.roundSlotRun(s, s.threads)
-		}
-		pipe = newRoundingPipeline(ctx, tr, timer, ws.slots[:nSlots], opts.Batch+1,
-			pcfg, total, BPStepMatch, StepMatchOverlap, work)
-		defer pipe.close()
-	}
-	slots := ws.slots
-	if pipe != nil {
-		slots = pipe.cur.slots
-	}
-
 	slotTasks := make([]func(int), opts.Batch+1)
 	for i := range slotTasks {
-		s := ws.slots[i]
+		s := slots[i]
 		slotTasks[i] = func(taskThreads int) {
 			s.ok = false
 			// A corrupted (non-finite) heuristic copy is a numeric
@@ -508,7 +395,7 @@ func (p *Problem) bpAlign(ctx context.Context, o BPOptions, po PipelineOptions, 
 	flushBody := func() {
 		if serial {
 			for i := 0; i < pendLen; i++ {
-				s := ws.slots[i]
+				s := slots[i]
 				if !finiteVector(s.heur) {
 					numericEvents.Add(1)
 					continue
@@ -527,7 +414,7 @@ func (p *Problem) bpAlign(ctx context.Context, o BPOptions, po PipelineOptions, 
 		// would vary run to run.
 		e.runTasksCtx(ctx, slotTasks[:pendLen])
 		for i := 0; i < pendLen; i++ {
-			s := ws.slots[i]
+			s := slots[i]
 			if s.ok {
 				tr.Offer(s.iter, s.obj, &s.res, s.heur)
 			}
@@ -535,16 +422,16 @@ func (p *Problem) bpAlign(ctx context.Context, o BPOptions, po PipelineOptions, 
 		pendLen = 0
 	}
 	flush := func() {
-		if pendLen == 0 {
-			return
+		if pendLen > 0 {
+			timer.Time(BPStepMatch, flushBody)
 		}
-		if pipe != nil {
-			pipe.submit(pendLen)
-			slots = pipe.cur.slots
-			pendLen = 0
-			return
+	}
+	// corrupt is the fault-injection hook: a no-op unless a test armed
+	// a fault injector.
+	corrupt := func(step string, iter int, v []float64) {
+		if opts.Faults != nil {
+			opts.Faults.CorruptVector(step, iter, v)
 		}
-		timer.Time(BPStepMatch, flushBody)
 	}
 
 	stopped := StopMaxIter
@@ -559,17 +446,13 @@ loop:
 			break
 		}
 		timer.Time(BPStepBoundF, step1)
-		if opts.Faults != nil {
-			opts.Faults.CorruptVector(BPStepBoundF, iter, f)
-		}
+		corrupt(BPStepBoundF, iter, f)
 
 		timer.Time(BPStepComputeD, step2)
-		if opts.Faults != nil {
-			opts.Faults.CorruptVector(BPStepComputeD, iter, d)
-		}
+		corrupt(BPStepComputeD, iter, d)
 
 		// The damping weight for this iteration is fixed before the
-		// sweeps so the fused kernels can blend as they write.
+		// sweeps so they can blend as they write.
 		gammaK *= opts.Gamma
 		switch opts.Damp {
 		case DampConstant:
@@ -581,27 +464,15 @@ loop:
 		}
 		g *= guard.tighten
 
-		if fused {
-			timer.Time(BPStepOthermax, step3Fused)
-			timer.Time(BPStepUpdateS, step4Fused)
-		} else {
-			timer.Time(BPStepOthermax, step3)
-			if opts.Faults != nil {
-				opts.Faults.CorruptVector(BPStepOthermax, iter, y)
-			}
-			timer.Time(BPStepUpdateS, step4)
-			if opts.Faults != nil {
-				opts.Faults.CorruptVector(BPStepUpdateS, iter, sk)
-			}
-			timer.Time(BPStepDamping, step5)
-		}
+		timer.Time(BPStepOthermax, step3)
+		corrupt(BPStepOthermax, iter, y)
+		timer.Time(BPStepUpdateS, step4)
+		corrupt(BPStepUpdateS, iter, sk)
 		y, yPrev = yPrev, y
 		z, zPrev = zPrev, z
 		sk, skPrev = skPrev, sk
 		// After the swaps, *Prev hold iteration k's damped state.
-		if opts.Faults != nil {
-			opts.Faults.CorruptVector(BPStepDamping, iter, yPrev)
-		}
+		corrupt(BPStepDamping, iter, yPrev)
 
 		// A cancelled step leaves partially written vectors; bail out
 		// before the guard or the tracker can look at them.
@@ -611,10 +482,10 @@ loop:
 		}
 
 		// Numeric guard: one scan over the damped state catches NaN/Inf
-		// or explosion introduced by any of steps 1–5 (a bad F entry
-		// propagates through d, y/z and S^(k)). On failure, roll back
-		// to the last good iterate and retry with tightened damping;
-		// stop with StopNumerics when the failure recurs.
+		// or explosion introduced by any step (a bad F entry propagates
+		// through d, y/z and S^(k)). On failure, roll back to the last
+		// good iterate and retry with tightened damping; stop with
+		// StopNumerics when the failure recurs.
 		if !guard.ok(threads, yPrev, zPrev, skPrev) {
 			if guard.trip() {
 				copy(yPrev, goodY)
@@ -651,10 +522,8 @@ loop:
 		sz.heur = growFloat64(sz.heur, mEL)
 		copy(sz.heur, zPrev)
 		pendLen++
-		if opts.Faults != nil {
-			opts.Faults.CorruptVector(BPStepMatch, iter, sy.heur)
-			opts.Faults.CorruptVector(BPStepMatch, iter, sz.heur)
-		}
+		corrupt(BPStepMatch, iter, sy.heur)
+		corrupt(BPStepMatch, iter, sz.heur)
 		if pendLen >= opts.Batch {
 			flush()
 			// Corrupted heuristics skipped during the flush count as
@@ -672,9 +541,6 @@ loop:
 
 		if opts.CheckpointEvery > 0 && opts.CheckpointFunc != nil && iter%opts.CheckpointEvery == 0 {
 			flush() // the snapshot's tracker must cover every iterate so far
-			if pipe != nil {
-				pipe.drain()
-			}
 			ck := &Checkpoint{
 				Method:   "bp",
 				Iter:     iter,
@@ -702,14 +568,6 @@ loop:
 	if !cancelled {
 		flush()
 	}
-	var pipeReport *PipelineReport
-	if pipe != nil {
-		// Wait for in-flight batches (their offers land in submit order),
-		// then retire the collector before the final exact rounding.
-		pipe.drain()
-		pipe.close()
-		pipeReport = pipe.report()
-	}
 
 	var out *AlignResult
 	if cancelled && !tr.HasBest() {
@@ -726,7 +584,6 @@ loop:
 	out.Iterations = lastIter
 	out.Stopped = stopped
 	out.NumericFailures = guard.failures
-	out.Pipeline = pipeReport
 	out.Err = runErr
 	if opts.Trace {
 		out.ObjectiveTrace = append([]float64(nil), tr.Objective...)

@@ -14,15 +14,11 @@ import (
 // and an explicit 100 fingerprint identically), and fields that
 // cannot change the output bits are excluded on purpose:
 //
-//   - Threads, Chunk, Sched, Partition, NoPool: the dispatch layer;
-//     results are pinned bit-identical across all of them
-//     (TestPoolPartitionMatrix{BP,MR}).
-//   - FuseKernels, TaskParallelOthermax: alternative evaluation
-//     orders proven bit-identical to the originals.
-//   - Options.Pipeline, Options.Reorder: execution-layout choices
-//     pinned bit-identical to the barrier/canonical paths
-//     (TestPipelineMatrix*, TestReorderMatrix*); excluding them lets
-//     the cache coalesce runs across those settings.
+//   - Threads: results are pinned bit-identical across thread
+//     counts (TestPoolPartitionMatrix{BP,MR}).
+//   - Options.Reorder: an execution-layout choice pinned
+//     bit-identical to the canonical order (TestReorderMatrix*);
+//     excluding it lets the cache coalesce runs across settings.
 //   - Workspace, Timer, Trace, Observer, CheckpointEvery,
 //     CheckpointFunc: instrumentation and buffer reuse.
 //

@@ -20,6 +20,32 @@ func TestCacheFingerprintResolvesDefaults(t *testing.T) {
 	}
 }
 
+// TestCacheFingerprintGolden pins the exact fingerprint strings. The
+// result cache and spooled jobs key on them, so any change to the
+// rendering invalidates every cached result and must be deliberate.
+func TestCacheFingerprintGolden(t *testing.T) {
+	approx := matching.MatcherSpec{Name: "approx"}
+	cases := []struct {
+		opts Options
+		want string
+	}{
+		{Options{},
+			"bp;iters=100;gamma=0.99;damp=power;batch=1;matcher=exact;skipfinal=false;guard=0"},
+		{Options{Method: MethodMR},
+			"mr;iters=100;gamma=0.5;mstep=10;ubound=0;matcher=exact;greedyrow=false;gaptol=0;skipfinal=false;guard=0"},
+		{Options{BP: BPOptions{Iterations: 40, Batch: 20, Matcher: approx}},
+			"bp;iters=40;gamma=0.99;damp=power;batch=20;matcher=approx;skipfinal=false;guard=0"},
+		{Options{Method: MethodMR, MR: MROptions{Iterations: 40, Matcher: approx}},
+			"mr;iters=40;gamma=0.5;mstep=10;ubound=0;matcher=approx;greedyrow=false;gaptol=0;skipfinal=false;guard=0"},
+	}
+	for _, c := range cases {
+		got, ok := c.opts.CacheFingerprint()
+		if !ok || got != c.want {
+			t.Errorf("fingerprint = %q (cacheable %v), want %q", got, ok, c.want)
+		}
+	}
+}
+
 func TestCacheFingerprintSensitivity(t *testing.T) {
 	base := Options{BP: BPOptions{Iterations: 50, Gamma: 0.9, Batch: 2}}
 	fp := func(o Options) string {
@@ -51,12 +77,10 @@ func TestCacheFingerprintSensitivity(t *testing.T) {
 
 	// Dispatch-layer and instrumentation changes must not.
 	same := map[string]Options{
-		"threads":   {BP: BPOptions{Iterations: 50, Gamma: 0.9, Batch: 2, Threads: 8}},
-		"chunk":     {BP: BPOptions{Iterations: 50, Gamma: 0.9, Batch: 2, Chunk: 64}},
-		"partition": {BP: BPOptions{Iterations: 50, Gamma: 0.9, Batch: 2, Partition: PartitionChunked}},
-		"nopool":    {BP: BPOptions{Iterations: 50, Gamma: 0.9, Batch: 2, NoPool: true}},
-		"fused":     {BP: BPOptions{Iterations: 50, Gamma: 0.9, Batch: 2, FuseKernels: true}},
-		"trace":     {BP: BPOptions{Iterations: 50, Gamma: 0.9, Batch: 2, Trace: true}},
+		"threads": {BP: BPOptions{Iterations: 50, Gamma: 0.9, Batch: 2, Threads: 8}},
+		"reorder": {BP: BPOptions{Iterations: 50, Gamma: 0.9, Batch: 2},
+			Reorder: ReorderOptions{Mode: ReorderRCM}},
+		"trace": {BP: BPOptions{Iterations: 50, Gamma: 0.9, Batch: 2, Trace: true}},
 		"observer": {BP: BPOptions{Iterations: 50, Gamma: 0.9, Batch: 2,
 			Observer: func(int, []float64, []float64) {}}},
 	}

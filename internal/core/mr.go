@@ -34,27 +34,6 @@ type MROptions struct {
 	UBound float64
 	// Threads is the worker count (<= 0 means GOMAXPROCS).
 	Threads int
-	// Chunk is the dynamic-schedule chunk size (0 = 1000, the value
-	// the paper tuned for the imbalanced S-indexed loops).
-	Chunk int
-	// Sched selects the scheduling policy for the S-indexed loops
-	// (default Dynamic, the paper's choice). The scheduling-policy
-	// axis substitutes for the paper's NUMA memory-layout axis in the
-	// scaling studies; see DESIGN.md §4. Sched only applies under
-	// PartitionChunked: the default balanced partition replaces
-	// chunked scheduling entirely.
-	Sched parallel.Schedule
-	// Partition selects how the parallel loops split their index
-	// spaces: PartitionBalanced (default) precomputes contiguous
-	// per-worker ranges of near-equal nonzero count once per problem;
-	// PartitionChunked restores the legacy chunked schedules. The
-	// iterates and the result are bit-identical either way.
-	Partition Partition
-	// NoPool disables the per-run persistent worker pool, making every
-	// parallel region spawn goroutines as earlier versions did. Output
-	// is identical; the option exists for the scheduling studies and
-	// as an escape hatch.
-	NoPool bool
 	// Rounding is the bipartite matcher used in Step 3. nil selects
 	// exact matching; pass matching.Approx for the paper's
 	// substitution. Step 1's per-row matchings are always exact ("we
@@ -137,9 +116,6 @@ func (o *MROptions) defaults(p *Problem) MROptions {
 			opts.UBound = 0.5
 		}
 	}
-	if opts.Chunk <= 0 {
-		opts.Chunk = parallel.DefaultChunk
-	}
 	return opts
 }
 
@@ -182,10 +158,6 @@ type AlignResult struct {
 	// ObjectiveTrace holds every rounded objective in evaluation order
 	// (with Trace set).
 	ObjectiveTrace []float64
-	// Pipeline is the overlap accounting of a pipelined solve (see
-	// Options.Pipeline); nil when the pipeline was off or did not
-	// engage.
-	Pipeline *PipelineReport
 }
 
 func absf(x float64) float64 {
@@ -266,15 +238,12 @@ func (p *Problem) MRAlignCtx(ctx context.Context, o MROptions) (*AlignResult, er
 // once before the loop (a closure handed to the parallel constructs
 // escapes), so steady-state iterations perform no heap allocations at
 // Threads=1.
-func (p *Problem) mrAlign(ctx context.Context, o MROptions, po PipelineOptions, ro ReorderOptions) (*AlignResult, error) {
+func (p *Problem) mrAlign(ctx context.Context, o MROptions, ro ReorderOptions) (*AlignResult, error) {
 	opts := o.defaults(p)
-	threads, chunk := opts.Threads, opts.Chunk
-	sched := opts.Sched
+	threads := opts.Threads
 	timer := opts.Timer
 	nnz := p.S.NNZ()
 	mEL := p.L.NumEdges()
-	total := parallel.Threads(threads)
-	serial := total == 1
 
 	tr := &Tracker{Trace: opts.Trace}
 	guard := newNumericGuard(opts.GuardLimit)
@@ -289,25 +258,13 @@ func (p *Problem) mrAlign(ctx context.Context, o MROptions, po PipelineOptions, 
 		return res, err
 	}
 
-	// MR defers only step 4's objective evaluation and tracker offer to
-	// the pipeline, so anything that reads them inside the loop — the
-	// gap test, an observer, the bound traces — keeps the barrier path
-	// (same bits either way).
-	pipelined := po.Enabled && !serial && opts.Faults == nil &&
-		opts.GapTolerance <= 0 && opts.Observer == nil && !opts.Trace
-	pcfg := po.withDefaults(total)
-	nSlots := 1
-	if pipelined {
-		nSlots = 1 + pcfg.Depth
-	}
-
 	ws := opts.Workspace
 	if ws == nil {
 		ws = NewWorkspace()
 	}
 	ws.ensureMR(mEL, nnz)
 	key, mk := matcherFactory(opts.Rounding, opts.Matcher)
-	if err := ws.ensureRound(p, key, mk, nSlots); err != nil {
+	if err := ws.ensureRound(p, key, mk, 1); err != nil {
 		res := p.emptyResult()
 		res.Err = err
 		return res, err
@@ -315,17 +272,8 @@ func (p *Problem) mrAlign(ctx context.Context, o MROptions, po PipelineOptions, 
 	mrS := ws.slots[0]
 	// The run's parallel-region dispatcher: a persistent worker pool
 	// plus the per-problem nnz-balanced partitions cached in the
-	// workspace. With the pipeline on, the sweeps run on the workers
-	// the collector does not use; every dispatched loop is thread-count
-	// invariant, so shrinking the sweep budget changes no bits.
-	execThreads := threads
-	if pipelined {
-		execThreads = total - pcfg.MatchWorkers
-		if execThreads < 1 {
-			execThreads = 1
-		}
-	}
-	e := newExec(p, ws, execThreads, chunk, sched, opts.Partition, opts.NoPool, view)
+	// workspace.
+	e := newExec(p, ws, threads, view)
 	defer e.close()
 
 	u := ws.u       // Lagrange multipliers (upper triangle only)
@@ -401,10 +349,8 @@ func (p *Problem) mrAlign(ctx context.Context, o MROptions, po PipelineOptions, 
 	// iteration (§IV-B: "We precompute the maximum memory required for
 	// p threads to run matching problems on the rows of S and
 	// preallocate this memory outside of the iteration"). Sized by the
-	// dispatcher's worker-id bound — not Threads, which overestimates
-	// when S has fewer chunks than threads (the scratch-sizing
-	// contract; see exec.rowWorkers).
-	nWorkers := e.rowWorkers(p.S.NumRows)
+	// dispatcher's worker-id bound (see exec.rowWorkers).
+	nWorkers := e.rowWorkers()
 	rowMatchers := make([]*matching.SubsetMatcher, nWorkers)
 	rowSelected := make([][]int, nWorkers)
 	for i := range rowMatchers {
@@ -431,29 +377,15 @@ func (p *Problem) mrAlign(ctx context.Context, o MROptions, po PipelineOptions, 
 	var obj, upper float64
 	var gU float64 // γ·tighten, fixed before the Step 5 sweep
 
-	// With the pipeline on, step 4's objective and offer run on the
-	// collector goroutine (one slot per batch) while the loop proceeds
-	// to the multiplier update and the next iteration's sweeps.
-	var pipe *roundingPipeline
-	if pipelined {
-		work := func(s *roundSlot) {
-			s.obj = p.slotObjective(s, s.threads)
-			s.ok = true
-		}
-		pipe = newRoundingPipeline(ctx, tr, timer, ws.slots[1:nSlots], 1,
-			pcfg, total, MRStepObjective, StepObjectiveOverlap, work)
-		defer pipe.close()
-	}
-
 	rowWKernel := func(lo, hi int) {
 		for k := lo; k < hi; k++ {
 			rowW[k] = beta2*sVal[k] + u[k] - u[perm[k]]
 		}
 	}
 	// One small exact matching per row; the row problems are tiny and
-	// independent, so parallelize across rows with a dynamic schedule
-	// (the row sizes are highly imbalanced) and solve each with the
-	// worker's preallocated scratch.
+	// independent, so parallelize across rows over the nnz-balanced
+	// row partition (the row sizes are highly imbalanced) and solve
+	// each with the worker's preallocated scratch.
 	rowMatchKernel := func(worker, lo, hi int) {
 		sm := rowMatchers[worker]
 		for e1 := lo; e1 < hi; e1++ {
@@ -524,24 +456,8 @@ func (p *Problem) mrAlign(ctx context.Context, o MROptions, po PipelineOptions, 
 	step4 := func() {
 		x = mrS.res.IndicatorInto(p.L, mrS.x)
 		mrS.x = x
-		if pipe != nil {
-			// Snapshot the iterate into the ring slot and defer the
-			// objective + offer. The slot's nested budget (fixed at
-			// submit; one task gets the whole budget) makes the
-			// deferred reduction's partition — hence its bits — match
-			// the inline evaluation's.
-			s := pipe.cur.slots[0]
-			s.iter = iter
-			s.heur = growFloat64(s.heur, mEL)
-			copy(s.heur, wbar)
-			s.x = growFloat64(s.x, mEL)
-			copy(s.x, x)
-			s.res.CopyFrom(&mrS.res)
-			pipe.submit(1)
-		} else {
-			obj = p.slotObjective(mrS, threads)
-			tr.Offer(iter, obj, &mrS.res, wbar)
-		}
+		obj = p.slotObjective(mrS, threads)
+		tr.Offer(iter, obj, &mrS.res, wbar)
 		upper = parallel.SumFloat64(mEL, threads, upperKernel)
 		if opts.Trace {
 			upperTrace = append(upperTrace, upper)
@@ -640,9 +556,6 @@ func (p *Problem) mrAlign(ctx context.Context, o MROptions, po PipelineOptions, 
 		lastIter = iter
 
 		if opts.CheckpointEvery > 0 && opts.CheckpointFunc != nil && iter%opts.CheckpointEvery == 0 {
-			if pipe != nil {
-				pipe.drain() // the snapshot's tracker must cover every offer so far
-			}
 			ck := &Checkpoint{
 				Method: "mr",
 				Iter:   iter,
@@ -680,14 +593,6 @@ func (p *Problem) mrAlign(ctx context.Context, o MROptions, po PipelineOptions, 
 	}
 
 	cancelled := stopped == StopCancelled || stopped == StopDeadline
-	var pipeReport *PipelineReport
-	if pipe != nil {
-		// Wait for in-flight offers (they land in submit order), then
-		// retire the collector before the final exact rounding.
-		pipe.drain()
-		pipe.close()
-		pipeReport = pipe.report()
-	}
 	var out *AlignResult
 	if cancelled && !tr.HasBest() {
 		out = p.emptyResult()
@@ -703,7 +608,6 @@ func (p *Problem) mrAlign(ctx context.Context, o MROptions, po PipelineOptions, 
 	out.ConvergedIter = convergedIter
 	out.Stopped = stopped
 	out.NumericFailures = guard.failures
-	out.Pipeline = pipeReport
 	out.Err = runErr
 	out.Upper = upperTrace
 	out.Lower = lowerTrace

@@ -10,6 +10,7 @@ package core_test
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 	"math"
 	"testing"
@@ -19,17 +20,91 @@ import (
 	"netalignmc/internal/problemio"
 )
 
+// setCheckpoint installs a checkpoint collector on the selected
+// method's options.
+func setCheckpoint(o *core.Options, every int, fn func(*core.Checkpoint) error) {
+	switch o.Method {
+	case core.MethodMR:
+		o.MR.CheckpointEvery = every
+		o.MR.CheckpointFunc = fn
+	default:
+		o.BP.CheckpointEvery = every
+		o.BP.CheckpointFunc = fn
+	}
+}
+
+// runAligned runs Align, serializing every checkpoint through the
+// problemio writer so the returned bytes cover the full on-disk form.
+func runAligned(t *testing.T, p *core.Problem, o core.Options, every int) (*core.AlignResult, [][]byte) {
+	t.Helper()
+	var cks [][]byte
+	if every > 0 {
+		setCheckpoint(&o, every, func(c *core.Checkpoint) error {
+			var buf bytes.Buffer
+			if err := problemio.WriteCheckpoint(&buf, c); err != nil {
+				return err
+			}
+			cks = append(cks, buf.Bytes())
+			return nil
+		})
+	}
+	res, err := p.Align(context.Background(), o)
+	if err != nil {
+		t.Fatalf("align: %v", err)
+	}
+	return res, cks
+}
+
+// compareRuns asserts two runs of the same options are bitwise
+// indistinguishable on every output surface.
+func compareRuns(t *testing.T, name string, want, got *core.AlignResult, wantCks, gotCks [][]byte) {
+	t.Helper()
+	if math.Float64bits(want.Objective) != math.Float64bits(got.Objective) {
+		t.Fatalf("%s: objective %v not bitwise equal to the reference's %v", name, got.Objective, want.Objective)
+	}
+	if want.Evaluations != got.Evaluations {
+		t.Fatalf("%s: evaluations %d != the reference's %d", name, got.Evaluations, want.Evaluations)
+	}
+	if want.BestIter != got.BestIter {
+		t.Fatalf("%s: best iter %d != the reference's %d", name, got.BestIter, want.BestIter)
+	}
+	if len(want.Matching.MateA) != len(got.Matching.MateA) {
+		t.Fatalf("%s: mate length %d != %d", name, len(got.Matching.MateA), len(want.Matching.MateA))
+	}
+	for i := range want.Matching.MateA {
+		if want.Matching.MateA[i] != got.Matching.MateA[i] {
+			t.Fatalf("%s: mateA[%d] = %d, the reference has %d", name, i, got.Matching.MateA[i], want.Matching.MateA[i])
+		}
+	}
+	if len(want.ObjectiveTrace) != len(got.ObjectiveTrace) {
+		t.Fatalf("%s: trace length %d != the reference's %d", name, len(got.ObjectiveTrace), len(want.ObjectiveTrace))
+	}
+	for i := range want.ObjectiveTrace {
+		if math.Float64bits(want.ObjectiveTrace[i]) != math.Float64bits(got.ObjectiveTrace[i]) {
+			t.Fatalf("%s: trace[%d] = %v, the reference has %v", name, i, got.ObjectiveTrace[i], want.ObjectiveTrace[i])
+		}
+	}
+	if len(wantCks) != len(gotCks) {
+		t.Fatalf("%s: %d checkpoints, the reference wrote %d", name, len(gotCks), len(wantCks))
+	}
+	for i := range wantCks {
+		if !bytes.Equal(wantCks[i], gotCks[i]) {
+			t.Fatalf("%s: checkpoint %d bytes differ from the reference's", name, i)
+		}
+	}
+}
+
 func reorderBase(method core.Method, threads int) core.Options {
 	o := core.Options{Method: method}
 	switch method {
 	case core.MethodMR:
 		o.MR = core.MROptions{
-			Iterations: 9, Threads: threads, Chunk: 16,
+			Iterations: 9, Threads: threads,
 			Matcher: matching.MatcherSpec{Name: "approx"},
 		}
 	default:
 		o.BP = core.BPOptions{
-			Iterations: 9, Threads: threads, Chunk: 16, Batch: 2, Trace: true,
+			Iterations: 9, Threads: threads, Batch: 2, Trace: true,
 			Matcher: matching.MatcherSpec{Name: "approx"},
 		}
 	}
@@ -51,16 +126,6 @@ func TestReorderMatrix(t *testing.T) {
 				ro := base
 				ro.Reorder = core.ReorderOptions{Mode: mode}
 				got, gotCks := runAligned(t, p, ro, 4)
-				compareRuns(t, name, ref, got, refCks, gotCks)
-			}
-			// Reorder and pipeline composed must still match the
-			// canonical barrier run bit for bit.
-			if threads > 1 {
-				name := fmt.Sprintf("%v/threads=%d/reorder=rcm/pipeline", method, threads)
-				combo := base
-				combo.Reorder = core.ReorderOptions{Mode: core.ReorderRCM}
-				combo.Pipeline = core.PipelineOptions{Enabled: true}
-				got, gotCks := runAligned(t, p, combo, 4)
 				compareRuns(t, name, ref, got, refCks, gotCks)
 			}
 		}

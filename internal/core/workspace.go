@@ -22,7 +22,7 @@ type Workspace struct {
 	// overlap messages over nnz(S), plus the numeric guard's
 	// last-good snapshots.
 	y, z, yPrev, zPrev   []float64
-	yu, zu               []float64 // fused-kernel undamped sweeps
+	rowScale             []float64 // y + z − d of the undamped messages
 	d, om, om2           []float64
 	sk, skPrev, f        []float64
 	goodY, goodZ, goodSK []float64
@@ -66,10 +66,6 @@ type roundSlot struct {
 	x     []float64
 	obj   float64
 	ok    bool
-	// threads is the nested thread budget a pipelined evaluation
-	// uses, fixed at submit time to the exact budget the barrier
-	// path's pool dispatch would hand this slot (see nestedBudget).
-	threads int
 
 	// Hoisted objective folds: a closure handed to the parallel
 	// reductions escapes, so building one per evaluation would
@@ -104,8 +100,7 @@ func (ws *Workspace) ensureBP(mEL, nnz int) {
 	ws.z = growFloat64(ws.z, mEL)
 	ws.yPrev = growFloat64(ws.yPrev, mEL)
 	ws.zPrev = growFloat64(ws.zPrev, mEL)
-	ws.yu = growFloat64(ws.yu, mEL)
-	ws.zu = growFloat64(ws.zu, mEL)
+	ws.rowScale = growFloat64(ws.rowScale, mEL)
 	ws.d = growFloat64(ws.d, mEL)
 	ws.om = growFloat64(ws.om, mEL)
 	ws.om2 = growFloat64(ws.om2, mEL)

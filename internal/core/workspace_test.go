@@ -8,9 +8,10 @@ package core_test
 //     2N-iteration solve minus an N-iteration solve — so per-solve
 //     constants (tracker, option copies, hoisted closures) cancel and
 //     only per-iteration costs remain.
-//  2. Bit identity: the fused othermax+damping kernels produce bitwise
-//     identical message iterates and results to the unfused path,
-//     across the batch/threads/damping/schedule option axes.
+//  2. Bit identity: the solver's fused othermax+damping and
+//     updateS+damping sweeps produce bitwise identical message
+//     iterates to the step-by-step serial reference of Listing 2,
+//     across the batch/threads/damping/reorder option axes.
 
 import (
 	"context"
@@ -20,7 +21,6 @@ import (
 
 	"netalignmc/internal/core"
 	"netalignmc/internal/matching"
-	"netalignmc/internal/parallel"
 )
 
 // allocsPerIter measures the per-iteration allocation count of solve
@@ -36,26 +36,23 @@ func allocsPerIter(t *testing.T, solve func(iters int)) float64 {
 func TestBPSteadyStateZeroAlloc(t *testing.T) {
 	p := smallSynthetic(t, 101)
 	ws := core.NewWorkspace()
-	for _, fused := range []bool{false, true} {
-		solve := func(iters int) {
-			res, err := p.Align(context.Background(), core.Options{Method: core.MethodBP, BP: core.BPOptions{
-				Iterations: iters, Threads: 1, Batch: 1,
-				Matcher:     matching.MatcherSpec{Name: "approx"},
-				Workspace:   ws,
-				FuseKernels: fused,
-				SkipFinalExact: true,
-			}})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if res.Matching == nil {
-				t.Fatal("no matching")
-			}
+	solve := func(iters int) {
+		res, err := p.Align(context.Background(), core.Options{Method: core.MethodBP, BP: core.BPOptions{
+			Iterations: iters, Threads: 1, Batch: 1,
+			Matcher:        matching.MatcherSpec{Name: "approx"},
+			Workspace:      ws,
+			SkipFinalExact: true,
+		}})
+		if err != nil {
+			t.Fatal(err)
 		}
-		solve(4) // warm the workspace and matcher scratch
-		if got := allocsPerIter(t, solve); got != 0 {
-			t.Errorf("fused=%v: BP iteration allocates %.2f objects/iter, want 0", fused, got)
+		if res.Matching == nil {
+			t.Fatal("no matching")
 		}
+	}
+	solve(4) // warm the workspace and matcher scratch
+	if got := allocsPerIter(t, solve); got != 0 {
+		t.Errorf("BP iteration allocates %.2f objects/iter, want 0", got)
 	}
 }
 
@@ -123,51 +120,90 @@ func TestPooledSteadyStateLowAlloc(t *testing.T) {
 	}
 }
 
-// TestFusedKernelsBitIdentical pins the fusion contract: identical
-// float operations in identical order, so the damped message iterates
-// (and everything downstream) are bitwise equal, not merely close.
+// observedBits returns every damped y and z word the solver (or the
+// reference) hands its observer, in iteration order.
+func observedBits() (*[]uint64, func(iter int, y, z []float64)) {
+	var bits []uint64
+	return &bits, func(iter int, y, z []float64) {
+		for _, v := range y {
+			bits = append(bits, math.Float64bits(v))
+		}
+		for _, v := range z {
+			bits = append(bits, math.Float64bits(v))
+		}
+	}
+}
+
+// referenceBits runs the serial step-by-step reference for iters
+// iterations.
+func referenceBits(p *core.Problem, iters int, gamma float64, damp core.Damping) []uint64 {
+	bits, observe := observedBits()
+	core.ReferenceBP(p, iters, gamma, damp, observe)
+	return *bits
+}
+
+// compareBits fails the test at the first word where the solver's
+// iterates leave the reference's.
+func compareBits(t *testing.T, name string, want, got []uint64) {
+	t.Helper()
+	if len(want) != len(got) {
+		t.Fatalf("%s: observed %d message words, reference has %d", name, len(got), len(want))
+	}
+	for i := range want {
+		if want[i] != got[i] {
+			t.Fatalf("%s: message word %d is %x, reference has %x", name, i, got[i], want[i])
+		}
+	}
+}
+
+// TestFusedKernelsBitIdentical pins the fusion contract: the solver's
+// fused sweeps evaluate the reference's float operations in the same
+// order, so the damped message iterates are bitwise equal to the
+// step-by-step Listing 2 iteration under every damping scheme, not
+// merely close.
 func TestFusedKernelsBitIdentical(t *testing.T) {
 	p := smallSynthetic(t, 103)
-	for _, threads := range []int{1, 3} {
-		for _, batch := range []int{1, 4} {
-			for _, damp := range []core.Damping{core.DampPower, core.DampConstant, core.DampNone} {
-				for _, sched := range []parallel.Schedule{parallel.Dynamic, parallel.Static} {
-					name := fmt.Sprintf("threads=%d/batch=%d/damp=%v/%v", threads, batch, damp, sched)
-					run := func(fused bool) ([]uint64, *core.AlignResult) {
-						var bits []uint64
-						res := p.BPAlign(core.BPOptions{
-							Iterations: 12, Batch: batch, Threads: threads,
-							Damp: damp, Sched: sched, Chunk: 16,
-							Matcher:     matching.MatcherSpec{Name: "approx"},
-							FuseKernels: fused,
-							Observer: func(iter int, y, z []float64) {
-								for _, v := range y {
-									bits = append(bits, math.Float64bits(v))
-								}
-								for _, v := range z {
-									bits = append(bits, math.Float64bits(v))
-								}
-							},
-						})
-						return bits, res
-					}
-					plainBits, plainRes := run(false)
-					fusedBits, fusedRes := run(true)
-					if len(plainBits) != len(fusedBits) {
-						t.Fatalf("%s: observed %d vs %d message words", name, len(plainBits), len(fusedBits))
-					}
-					for i := range plainBits {
-						if plainBits[i] != fusedBits[i] {
-							t.Fatalf("%s: message word %d differs: %x vs %x", name, i, plainBits[i], fusedBits[i])
-						}
-					}
-					if math.Float64bits(plainRes.Objective) != math.Float64bits(fusedRes.Objective) {
-						t.Fatalf("%s: objective %v vs %v", name, plainRes.Objective, fusedRes.Objective)
-					}
-					if plainRes.BestIter != fusedRes.BestIter {
-						t.Fatalf("%s: bestIter %d vs %d", name, plainRes.BestIter, fusedRes.BestIter)
-					}
+	for _, damp := range []core.Damping{core.DampPower, core.DampConstant, core.DampNone} {
+		want := referenceBits(p, 12, 0.99, damp)
+		for _, threads := range []int{1, 3} {
+			for _, batch := range []int{1, 4} {
+				name := fmt.Sprintf("threads=%d/batch=%d/damp=%v", threads, batch, damp)
+				bits, observe := observedBits()
+				p.BPAlign(core.BPOptions{
+					Iterations: 12, Batch: batch, Threads: threads, Damp: damp,
+					Matcher:  matching.MatcherSpec{Name: "approx"},
+					Observer: observe,
+				})
+				compareBits(t, name, want, *bits)
+			}
+		}
+	}
+}
+
+// TestBPMatchesSerialReference compares the solver's y and z at every
+// iteration, bit for bit, against the serial reference across thread
+// counts, rounding batch sizes and S row orders.
+func TestBPMatchesSerialReference(t *testing.T) {
+	p := smallSynthetic(t, 113)
+	const iters = 15
+	want := referenceBits(p, iters, 0.99, core.DampPower)
+	for _, threads := range []int{1, 2, 4} {
+		for _, batch := range []int{1, 7, 20} {
+			for _, mode := range []core.ReorderMode{core.ReorderNone, core.ReorderRCM} {
+				name := fmt.Sprintf("threads=%d/batch=%d/reorder=%v", threads, batch, mode)
+				bits, observe := observedBits()
+				_, err := p.Align(context.Background(), core.Options{
+					BP: core.BPOptions{
+						Iterations: iters, Batch: batch, Threads: threads,
+						Matcher:  matching.MatcherSpec{Name: "approx"},
+						Observer: observe,
+					},
+					Reorder: core.ReorderOptions{Mode: mode},
+				})
+				if err != nil {
+					t.Fatalf("%s: %v", name, err)
 				}
+				compareBits(t, name, want, *bits)
 			}
 		}
 	}
@@ -186,7 +222,7 @@ func TestWorkspaceReuseAcrossMethodsAndSolves(t *testing.T) {
 	steps := []step{
 		{core.Options{Method: core.MethodBP, BP: core.BPOptions{Iterations: 6, Matcher: matching.MatcherSpec{Name: "approx"}}}},
 		{core.Options{Method: core.MethodMR, MR: core.MROptions{Iterations: 6}}},
-		{core.Options{Method: core.MethodBP, BP: core.BPOptions{Iterations: 6, FuseKernels: true, Matcher: matching.MatcherSpec{Name: "suitor"}}}},
+		{core.Options{Method: core.MethodBP, BP: core.BPOptions{Iterations: 6, Matcher: matching.MatcherSpec{Name: "suitor"}}}},
 	}
 	for i, st := range steps {
 		shared := st.o

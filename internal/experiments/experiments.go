@@ -7,6 +7,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"runtime"
 	"strings"
@@ -15,7 +16,6 @@ import (
 	"netalignmc/internal/core"
 	"netalignmc/internal/gen"
 	"netalignmc/internal/matching"
-	"netalignmc/internal/parallel"
 	"netalignmc/internal/stats"
 )
 
@@ -336,55 +336,45 @@ func buildNamed(name string, c Config) (*core.Problem, error) {
 // scaling studies.
 type ScalingMethod struct {
 	Name  string
-	Run   func(p *core.Problem, threads, iterations int, sched string) time.Duration
+	Run   func(p *core.Problem, threads, iterations int) (time.Duration, error)
 	Batch int
 }
 
+// scalingOptions returns the solve options of the scaling studies for
+// one method: approximate rounding (the point of the paper) through
+// the same reusable matcher spec the CLI and daemon use, without the
+// final exact matching step ("we do not include the time required for
+// the final exact bipartite matching step in these experiments").
+// batch 0 selects MR; otherwise BP with that rounding batch size.
+func scalingOptions(batch, threads, iterations int, timer *stats.StepTimer) core.Options {
+	approx := matching.MatcherSpec{Name: "approx"}
+	if batch == 0 {
+		return core.Options{Method: core.MethodMR, MR: core.MROptions{
+			Iterations: iterations, Threads: threads, MStep: 10,
+			Matcher: approx, SkipFinalExact: true, Timer: timer,
+		}}
+	}
+	return core.Options{Method: core.MethodBP, BP: core.BPOptions{
+		Iterations: iterations, Threads: threads, Batch: batch, Gamma: 0.99,
+		Matcher: approx, SkipFinalExact: true, Timer: timer,
+	}}
+}
+
 // scalingMethods returns the paper's Figure 4 configurations: Klau's
-// MR and BP with batch sizes 1, 10, 20, all with approximate rounding
-// (the point of the paper) and without the final exact matching step
-// ("we do not include the time required for the final exact bipartite
-// matching step in these experiments").
+// MR and BP with batch sizes 1, 10, 20.
 func scalingMethods() []ScalingMethod {
-	run := func(batch int) func(*core.Problem, int, int, string) time.Duration {
-		return func(p *core.Problem, threads, iterations int, sched string) time.Duration {
+	run := func(batch int) func(*core.Problem, int, int) (time.Duration, error) {
+		return func(p *core.Problem, threads, iterations int) (time.Duration, error) {
 			start := time.Now()
-			p.BPAlign(core.BPOptions{
-				Iterations: iterations, Threads: threads, Batch: batch,
-				Gamma: 0.99, Rounding: matching.Approx, SkipFinalExact: true,
-				Sched: parseSched(sched),
-			})
-			return time.Since(start)
+			_, err := p.Align(context.Background(), scalingOptions(batch, threads, iterations, nil))
+			return time.Since(start), err
 		}
 	}
 	return []ScalingMethod{
-		{Name: "MR", Run: func(p *core.Problem, threads, iterations int, sched string) time.Duration {
-			start := time.Now()
-			p.KlauAlign(core.MROptions{
-				Iterations: iterations, Threads: threads, MStep: 10,
-				Rounding: matching.Approx, SkipFinalExact: true,
-				Sched: parseSched(sched),
-			})
-			return time.Since(start)
-		}},
+		{Name: "MR", Run: run(0)},
 		{Name: "BP-batch1", Run: run(1), Batch: 1},
 		{Name: "BP-batch10", Run: run(10), Batch: 10},
 		{Name: "BP-batch20", Run: run(20), Batch: 20},
-	}
-}
-
-// ParseSchedule maps a policy name ("dynamic", "static", "guided") to
-// a parallel.Schedule; unknown names select the default Dynamic.
-func ParseSchedule(s string) parallel.Schedule { return parseSched(s) }
-
-func parseSched(s string) parallel.Schedule {
-	switch s {
-	case "static":
-		return parallel.Static
-	case "guided":
-		return parallel.Guided
-	default:
-		return parallel.Dynamic
 	}
 }
 
@@ -393,7 +383,6 @@ func parseSched(s string) parallel.Schedule {
 type ScalingPoint struct {
 	Method     string
 	Threads    int
-	Schedule   string
 	Elapsed    time.Duration
 	Speedup    float64
 	Efficiency float64
@@ -408,18 +397,13 @@ type ScalingResult struct {
 
 // Scaling runs the strong-scaling study of Figures 4 (lcsh-wiki) and 5
 // (lcsh-rameau): wall time of a fixed number of iterations as the
-// thread count varies, for each method and scheduling policy, with
-// speedups relative to the fastest single-thread run of that method
-// (the paper normalizes the same way). methods filters by name; nil
-// means all. schedules defaults to {"dynamic", "static"} — our stand-in
-// for the paper's interleaved/bound memory-layout axis.
-func Scaling(c Config, problem string, methods []string, schedules []string) (*ScalingResult, error) {
+// thread count varies, for each method, with speedups relative to the
+// fastest single-thread run of that method (the paper normalizes the
+// same way). methods filters by name; nil means all.
+func Scaling(c Config, problem string, methods []string) (*ScalingResult, error) {
 	p, err := buildNamed(problem, c)
 	if err != nil {
 		return nil, err
-	}
-	if len(schedules) == 0 {
-		schedules = []string{"dynamic", "static"}
 	}
 	wanted := func(name string) bool {
 		if len(methods) == 0 {
@@ -447,15 +431,14 @@ func Scaling(c Config, problem string, methods []string, schedules []string) (*S
 			}
 		}
 		best1 := time.Duration(0)
-		for _, sched := range schedules {
-			for _, t := range c.threadList() {
-				el := m.Run(p, t, c.Iterations, sched)
-				res.Points = append(res.Points, ScalingPoint{
-					Method: m.Name, Threads: t, Schedule: sched, Elapsed: el,
-				})
-				if t == minThreads && (best1 == 0 || el < best1) {
-					best1 = el
-				}
+		for _, t := range c.threadList() {
+			el, err := m.Run(p, t, c.Iterations)
+			if err != nil {
+				return nil, fmt.Errorf("experiments: %s at %d threads: %w", m.Name, t, err)
+			}
+			res.Points = append(res.Points, ScalingPoint{Method: m.Name, Threads: t, Elapsed: el})
+			if t == minThreads && (best1 == 0 || el < best1) {
+				best1 = el
 			}
 		}
 		if best1 > 0 {
@@ -469,9 +452,9 @@ func Scaling(c Config, problem string, methods []string, schedules []string) (*S
 	}
 	var b strings.Builder
 	fmt.Fprintf(&b, "Strong scaling on %s (scale %g, %d iterations, speedup vs best 1-thread run)\n", problem, c.Scale, c.Iterations)
-	tbl := stats.NewTable("method", "schedule", "threads", "time", "speedup", "efficiency")
+	tbl := stats.NewTable("method", "threads", "time", "speedup", "efficiency")
 	for _, pt := range res.Points {
-		tbl.AddRow(pt.Method, pt.Schedule, fmt.Sprint(pt.Threads),
+		tbl.AddRow(pt.Method, fmt.Sprint(pt.Threads),
 			pt.Elapsed.Round(time.Millisecond).String(), fmt.Sprintf("%.2f", pt.Speedup),
 			fmt.Sprintf("%.2f", pt.Efficiency))
 	}
@@ -506,6 +489,14 @@ type StepScalingResult struct {
 // the lcsh-wiki stand-in, with each step's share of the total at the
 // largest thread count.
 func StepScaling(c Config, problem, method string) (*StepScalingResult, error) {
+	var batch int
+	switch method {
+	case "MR":
+	case "BP-batch20":
+		batch = 20
+	default:
+		return nil, fmt.Errorf("experiments: unknown step-scaling method %q", method)
+	}
 	p, err := buildNamed(problem, c)
 	if err != nil {
 		return nil, err
@@ -514,19 +505,8 @@ func StepScaling(c Config, problem, method string) (*StepScalingResult, error) {
 	var lastTimer *stats.StepTimer
 	for _, t := range c.threadList() {
 		timer := stats.NewStepTimer()
-		switch method {
-		case "MR":
-			p.KlauAlign(core.MROptions{
-				Iterations: c.Iterations, Threads: t, MStep: 10,
-				Rounding: matching.Approx, SkipFinalExact: true, Timer: timer,
-			})
-		case "BP-batch20":
-			p.BPAlign(core.BPOptions{
-				Iterations: c.Iterations, Threads: t, Batch: 20, Gamma: 0.99,
-				Rounding: matching.Approx, SkipFinalExact: true, Timer: timer,
-			})
-		default:
-			return nil, fmt.Errorf("experiments: unknown step-scaling method %q", method)
+		if _, err := p.Align(context.Background(), scalingOptions(batch, t, c.Iterations, timer)); err != nil {
+			return nil, fmt.Errorf("experiments: %s at %d threads: %w", method, t, err)
 		}
 		fr := timer.Fractions()
 		for _, step := range timer.Steps() {

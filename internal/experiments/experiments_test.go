@@ -115,11 +115,11 @@ func TestFig3(t *testing.T) {
 func TestScaling(t *testing.T) {
 	c := quickConfig()
 	c.Iterations = 3
-	res, err := Scaling(c, "dmela-scere", []string{"MR", "BP-batch1"}, []string{"dynamic"})
+	res, err := Scaling(c, "dmela-scere", []string{"MR", "BP-batch1"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	// 2 methods × 1 schedule × 2 thread counts.
+	// 2 methods × 2 thread counts.
 	if len(res.Points) != 4 {
 		t.Fatalf("points = %d, want 4", len(res.Points))
 	}
@@ -243,10 +243,14 @@ func TestStepScalingBP(t *testing.T) {
 		steps[pt.Step] = true
 		total += pt.Elapsed
 	}
-	for _, s := range []string{"boundF", "computeD", "othermax", "updateS", "damping", "match"} {
+	for _, s := range []string{"boundF", "computeD", "othermax", "updateS", "match"} {
 		if !steps[s] {
 			t.Fatalf("missing BP step %s", s)
 		}
+	}
+	// Damping runs inside the othermax and updateS sweeps.
+	if steps["damping"] {
+		t.Fatal("damping timed as a step of its own")
 	}
 	if total <= 0 {
 		t.Fatal("no time recorded")
@@ -266,15 +270,6 @@ func TestConfigThreadList(t *testing.T) {
 	auto := d.threadList()
 	if len(auto) == 0 || auto[0] != 1 {
 		t.Fatalf("auto threadList = %v", auto)
-	}
-}
-
-func TestParseSched(t *testing.T) {
-	if parseSched("static").String() != "static" ||
-		parseSched("guided").String() != "guided" ||
-		parseSched("dynamic").String() != "dynamic" ||
-		parseSched("").String() != "dynamic" {
-		t.Fatal("parseSched wrong")
 	}
 }
 
@@ -402,11 +397,11 @@ func TestCSVOutputs(t *testing.T) {
 	if !strings.Contains(mc.CSV(), "suitor") {
 		t.Fatal("matcher csv missing rows")
 	}
-	sc, err := Scaling(c, "dmela-scere", []string{"MR"}, []string{"dynamic"})
+	sc, err := Scaling(c, "dmela-scere", []string{"MR"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(sc.CSV(), "dynamic") {
+	if !strings.Contains(sc.CSV(), "dmela-scere,MR,") {
 		t.Fatal("scaling csv missing rows")
 	}
 	ss, err := StepScaling(c, "dmela-scere", "MR")

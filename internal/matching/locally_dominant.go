@@ -418,13 +418,24 @@ func (st *ldState) setCandidate(v, c int32) {
 // candidateOf returns v's candidate, computing it lazily if it is
 // still unset (one-sided initialization leaves V_B candidates unset
 // until first needed).
+//
+// The lazy value is published only over ldUnset, and a caller whose
+// publish loses reads the winner's value. A lazy scan belongs to no
+// processVertex(v) call, so nothing re-tests dominance after its
+// write: were it allowed to overwrite a candidate (last write wins),
+// it could point v at a vertex that already read v's old candidate
+// and gave up, leaving the pair mutually pointing but unmatched with
+// neither side ever re-examined. With the CAS, the one lazy value is
+// visible to every dominance check made after it, and a stale one
+// names a vertex matched in this round, whose Phase 2 pass will
+// re-examine v.
 func (st *ldState) candidateOf(v int32) int32 {
 	c := atomic.LoadInt32(&st.candidate[v])
 	if c == ldUnset {
 		c = st.findMate(v)
-		// Another thread may be doing the same; either result is a
-		// valid heaviest-unmatched snapshot, last write wins.
-		st.setCandidate(v, c)
+		if !atomic.CompareAndSwapInt32(&st.candidate[v], ldUnset, c) {
+			c = atomic.LoadInt32(&st.candidate[v])
+		}
 	}
 	return c
 }

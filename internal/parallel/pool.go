@@ -540,32 +540,6 @@ func (pl *Pool) ForGuidedCtx(ctx context.Context, n, p, minChunk int, body func(
 	return ctx.Err()
 }
 
-// ForSched runs body under the given schedule on the pool; the pool
-// analogue of Schedule.For.
-func (pl *Pool) ForSched(s Schedule, n, p, chunk int, body func(lo, hi int)) {
-	switch s {
-	case Static:
-		pl.ForStatic(n, p, body)
-	case Guided:
-		pl.ForGuided(n, p, chunk, body)
-	default:
-		pl.ForDynamic(n, p, chunk, body)
-	}
-}
-
-// ForSchedCtx is ForSched with cooperative cancellation; the pool
-// analogue of Schedule.ForCtx.
-func (pl *Pool) ForSchedCtx(ctx context.Context, s Schedule, n, p, chunk int, body func(lo, hi int)) error {
-	switch s {
-	case Static:
-		return pl.ForStaticCtx(ctx, n, p, chunk, body)
-	case Guided:
-		return pl.ForGuidedCtx(ctx, n, p, chunk, body)
-	default:
-		return pl.ForDynamicCtx(ctx, n, p, chunk, body)
-	}
-}
-
 // ForOffsets runs body over the precomputed partition boundaries
 // (offsets as produced by BalancedOffsets: part k is
 // [offsets[k], offsets[k+1])), one part per pool worker. Partitions

@@ -124,17 +124,16 @@ type Spec struct {
 	// matching.ParseMatcherSpec): "exact", "approx", "suitor",
 	// "locally-dominant(sorted=true)", ... Empty falls back to Approx.
 	Matcher string `json:"matcher,omitempty"`
-	// Fused enables BP's fused othermax+damping kernels (bit-identical
-	// iterates, fewer passes over S).
-	Fused bool `json:"fused,omitempty"`
-	// Pipeline enables pipelined batched rounding: the matching step
-	// runs on dedicated workers while the next sweep proceeds. Results
-	// are bit-identical to the barrier path, so like Fused it never
-	// enters the cache key — runs coalesce across the setting.
+	// Fused and Pipeline are accepted and ignored. They once selected
+	// BP's fused sweeps (now always on) and pipelined rounding (since
+	// removed); both were bit-identical to the default path and never
+	// entered the cache key. The fields stay because the v1 spec
+	// rejects unknown fields and spooled job.json files carry them.
+	Fused    bool `json:"fused,omitempty"`
 	Pipeline bool `json:"pipeline,omitempty"`
 	// Reorder selects the locality reordering of S's row storage:
-	// "none" (default), "auto", "degree" or "rcm". Bit-identical and
-	// cache-key-excluded like Pipeline.
+	// "none" (default), "auto", "degree" or "rcm". Bit-identical, so
+	// it never enters the cache key.
 	Reorder string `json:"reorder,omitempty"`
 	// Threads bounds one solve's parallelism (0 = server default).
 	Threads int `json:"threads,omitempty"`

@@ -1101,14 +1101,8 @@ func (m *Manager) finish(j *Job, state State, result *core.ResultJSON, errMsg st
 		j.mu.Unlock()
 		m.mu.Unlock()
 	}
-	j.mu.Lock()
-	j.state = state
-	j.errMsg = errMsg
-	j.finished = time.Now()
-	j.cancel = nil
-	meta := j.metaLocked()
-	j.mu.Unlock()
-	_ = m.store.SaveMeta(meta)
+	// Count the outcome before the state becomes visible, so whoever
+	// observes the terminal state also observes it counted.
 	switch state {
 	case StateDone:
 		m.counters.Completed.Add(1)
@@ -1122,6 +1116,14 @@ func (m *Manager) finish(j *Job, state State, result *core.ResultJSON, errMsg st
 	case StateQuarantined:
 		m.counters.Quarantined.Add(1)
 	}
+	j.mu.Lock()
+	j.state = state
+	j.errMsg = errMsg
+	j.finished = time.Now()
+	j.cancel = nil
+	meta := j.metaLocked()
+	j.mu.Unlock()
+	_ = m.store.SaveMeta(meta)
 	j.publish("state", j.Status())
 	j.closeEvents()
 	if len(followers) > 0 {
@@ -1141,6 +1143,13 @@ func (m *Manager) finish(j *Job, state State, result *core.ResultJSON, errMsg st
 // byte-identical.
 func (m *Manager) completeFollower(f *Job, data []byte, iter int64) {
 	err := m.store.SaveResultBytes(f.ID, data)
+	// Counted before the state becomes visible, as in finish.
+	if err == nil {
+		m.counters.Completed.Add(1)
+		m.noteTenantCompleted(f.Spec.tenantName())
+	} else {
+		m.counters.Failed.Add(1)
+	}
 	f.iter.Store(iter)
 	f.mu.Lock()
 	f.primary = nil
@@ -1153,12 +1162,6 @@ func (m *Manager) completeFollower(f *Job, data []byte, iter int64) {
 	meta := f.metaLocked()
 	f.mu.Unlock()
 	_ = m.store.SaveMeta(meta)
-	if meta.State == StateDone {
-		m.counters.Completed.Add(1)
-		m.noteTenantCompleted(f.Spec.tenantName())
-	} else {
-		m.counters.Failed.Add(1)
-	}
 	f.publish("state", f.Status())
 	f.closeEvents()
 }
@@ -1555,19 +1558,17 @@ func (m *Manager) run(j *Job) {
 		})
 	}
 
-	// Pipeline and reorder are execution-layout choices with
-	// bit-identical results, so they never enter the cache key. (MR's
-	// pipeline disengages under the heartbeat observer; BP's overlaps.)
+	// Reorder is an execution-layout choice with bit-identical
+	// results, so it never enters the cache key.
 	var reorder core.ReorderOptions
 	_ = reorder.Mode.UnmarshalText([]byte(spec.Reorder)) // validated at admission
 
 	res, runErr := p.Align(runCtx, core.Options{
-		Method:   method,
-		Pipeline: core.PipelineOptions{Enabled: spec.Pipeline},
-		Reorder:  reorder,
+		Method:  method,
+		Reorder: reorder,
 		BP: core.BPOptions{
 			Iterations: spec.Iterations, Gamma: spec.Gamma, Batch: spec.Batch,
-			Threads: threads, Matcher: mspec, FuseKernels: spec.Fused, Timer: m.timer,
+			Threads: threads, Matcher: mspec, Timer: m.timer,
 			Observer: beatBP,
 			Resume:   resume, CheckpointEvery: ckptEvery, CheckpointFunc: ckptFunc,
 		},

@@ -5,15 +5,18 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"net/http"
 	"net/http/httptest"
 	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 	"time"
 
 	"netalignmc/internal/bipartite"
 	"netalignmc/internal/core"
+	"netalignmc/internal/faults"
 	"netalignmc/internal/matching"
 )
 
@@ -676,5 +679,91 @@ func TestMRJobEndToEnd(t *testing.T) {
 	st := getStatus(t, ts, id)
 	if st.Method != "mr" {
 		t.Errorf("method = %q, want mr", st.Method)
+	}
+}
+
+// TestSpecRetiredFieldsAccepted pins the v1 compatibility promise for
+// the retired "fused" and "pipeline" spec fields: a submission carrying
+// them is accepted, keys and solves exactly like one without them, and
+// a spooled job.json carrying them is recovered after a restart.
+func TestSpecRetiredFieldsAccepted(t *testing.T) {
+	plain, err := json.Marshal(smallSpec())
+	if err != nil {
+		t.Fatal(err)
+	}
+	var fields map[string]any
+	if err := json.Unmarshal(plain, &fields); err != nil {
+		t.Fatal(err)
+	}
+	fields["fused"] = true
+	fields["pipeline"] = true
+	retired, err := json.Marshal(fields)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var spec Spec
+	dec := json.NewDecoder(bytes.NewReader(retired))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(&spec); err != nil {
+		t.Fatalf("retired fields rejected: %v", err)
+	}
+	base := smallSpec()
+	wantKey, _, err := base.CacheKey(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if key, _, err := spec.CacheKey(1); err != nil || key != wantKey {
+		t.Fatalf("cache key with retired fields = %v (err %v), want %v", key, err, wantKey)
+	}
+
+	// Over HTTP, with no result cache so both submissions solve.
+	mgr, ts := newTestServer(t, Config{Workers: 1})
+	wantID := submitOK(t, ts, json.RawMessage(plain))
+	gotID := submitOK(t, ts, json.RawMessage(retired))
+	waitState(t, ts, wantID, StateDone, 30*time.Second)
+	waitState(t, ts, gotID, StateDone, 30*time.Second)
+	want := rawResult(t, mgr, wantID)
+	if got := rawResult(t, mgr, gotID); !bytes.Equal(got, want) {
+		t.Fatalf("result with retired fields differs:\n%s\nvs\n%s", got, want)
+	}
+
+	// A job.json carrying the fields survives a crash and restart. The
+	// crash right after job.json's rename leaves the job durable but
+	// never started, so the restarted manager must recover and run it.
+	spool := t.TempDir()
+	mgr1, err := NewManager(Config{Spool: spool, Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	plan := faults.NewPlan(1).WithCrash("after-rename:job.json")
+	mgr1.Store().SetCrashHook(plan.Crash)
+	if _, err := mgr1.Submit(spec); !errors.Is(err, faults.ErrCrash) {
+		t.Fatalf("submit with armed crash: %v, want ErrCrash", err)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	if err := mgr1.Shutdown(ctx); err != nil {
+		t.Fatal(err)
+	}
+	mgr2, err := NewManager(Config{Spool: spool, Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() { _ = mgr2.Shutdown(ctx) }()
+	jobs := mgr2.List()
+	if len(jobs) != 1 {
+		t.Fatalf("recovered %d jobs, want 1", len(jobs))
+	}
+	data, err := os.ReadFile(filepath.Join(mgr2.Store().JobDir(jobs[0].ID), "job.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var meta Meta
+	if err := json.Unmarshal(data, &meta); err != nil || !meta.Spec.Fused || !meta.Spec.Pipeline {
+		t.Fatalf("spooled job.json lost the retired fields (err %v): %s", err, data)
+	}
+	waitJob(t, mgr2, jobs[0].ID, StateDone, 30*time.Second)
+	if got := rawResult(t, mgr2, jobs[0].ID); !bytes.Equal(got, want) {
+		t.Fatal("recovered job's result differs from the plain spec's")
 	}
 }
