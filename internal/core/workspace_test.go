@@ -33,49 +33,62 @@ func allocsPerIter(t *testing.T, solve func(iters int)) float64 {
 	return (double - base) / n
 }
 
+// zeroAllocSpecs are the rounding matchers with reusable scratch whose
+// warm solves must not allocate per iteration: the paper's approximate
+// matcher and the default (zero-value) exact matcher.
+var zeroAllocSpecs = []matching.MatcherSpec{{Name: "approx"}, {}}
+
 func TestBPSteadyStateZeroAlloc(t *testing.T) {
-	p := smallSynthetic(t, 101)
-	ws := core.NewWorkspace()
-	solve := func(iters int) {
-		res, err := p.Align(context.Background(), core.Options{Method: core.MethodBP, BP: core.BPOptions{
-			Iterations: iters, Threads: 1, Batch: 1,
-			Matcher:        matching.MatcherSpec{Name: "approx"},
-			Workspace:      ws,
-			SkipFinalExact: true,
-		}})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if res.Matching == nil {
-			t.Fatal("no matching")
-		}
-	}
-	solve(4) // warm the workspace and matcher scratch
-	if got := allocsPerIter(t, solve); got != 0 {
-		t.Errorf("BP iteration allocates %.2f objects/iter, want 0", got)
+	for _, spec := range zeroAllocSpecs {
+		t.Run(spec.String(), func(t *testing.T) {
+			p := smallSynthetic(t, 101)
+			ws := core.NewWorkspace()
+			solve := func(iters int) {
+				res, err := p.Align(context.Background(), core.Options{Method: core.MethodBP, BP: core.BPOptions{
+					Iterations: iters, Threads: 1, Batch: 1,
+					Matcher:        spec,
+					Workspace:      ws,
+					SkipFinalExact: true,
+				}})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if res.Matching == nil {
+					t.Fatal("no matching")
+				}
+			}
+			solve(4) // warm the workspace and matcher scratch
+			if got := allocsPerIter(t, solve); got != 0 {
+				t.Errorf("BP iteration allocates %.2f objects/iter, want 0", got)
+			}
+		})
 	}
 }
 
 func TestMRSteadyStateZeroAlloc(t *testing.T) {
-	p := smallSynthetic(t, 102)
-	ws := core.NewWorkspace()
-	solve := func(iters int) {
-		res, err := p.Align(context.Background(), core.Options{Method: core.MethodMR, MR: core.MROptions{
-			Iterations: iters, Threads: 1,
-			Matcher:        matching.MatcherSpec{Name: "approx"},
-			Workspace:      ws,
-			SkipFinalExact: true,
-		}})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if res.Matching == nil {
-			t.Fatal("no matching")
-		}
-	}
-	solve(4)
-	if got := allocsPerIter(t, solve); got != 0 {
-		t.Errorf("MR iteration allocates %.2f objects/iter, want 0", got)
+	for _, spec := range zeroAllocSpecs {
+		t.Run(spec.String(), func(t *testing.T) {
+			p := smallSynthetic(t, 102)
+			ws := core.NewWorkspace()
+			solve := func(iters int) {
+				res, err := p.Align(context.Background(), core.Options{Method: core.MethodMR, MR: core.MROptions{
+					Iterations: iters, Threads: 1,
+					Matcher:        spec,
+					Workspace:      ws,
+					SkipFinalExact: true,
+				}})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if res.Matching == nil {
+					t.Fatal("no matching")
+				}
+			}
+			solve(4)
+			if got := allocsPerIter(t, solve); got != 0 {
+				t.Errorf("MR iteration allocates %.2f objects/iter, want 0", got)
+			}
+		})
 	}
 }
 

@@ -1,175 +1,54 @@
 package matching
 
-import (
-	"container/heap"
-	"math"
-
-	"netalignmc/internal/bipartite"
-)
+import "netalignmc/internal/bipartite"
 
 // Exact computes a maximum-weight bipartite matching (not necessarily
 // perfect or maximum-cardinality) by successive shortest augmenting
-// paths with potentials.
-//
-// The reduction: every a ∈ V_A gets a private dummy partner reachable
-// by a zero-weight edge, making a left-perfect matching always exist;
-// edge costs are maxW − w ≥ 0 so Dijkstra applies with zero initial
-// potentials. Because every left vertex is matched (possibly to its
-// dummy) in every feasible solution, the constant shift maxW cancels
-// and minimizing cost maximizes Σw over the real matched edges. Edges
-// with w ≤ 0 are never preferred over the dummy, so the result uses
-// only positive-weight edges, which is what a maximum-weight matching
-// does.
+// paths with potentials (see ssp for the reduction). Edges with
+// w ≤ 0 are never preferred over leaving a vertex unmatched, so the
+// result uses only positive-weight edges, which is what a
+// maximum-weight matching does.
 //
 // The threads argument is accepted for Matcher compatibility but
 // ignored: exact augmenting-path matching is the inherently serial
 // baseline whose lack of concurrency motivates the paper.
 func Exact(g *bipartite.Graph, threads int) *Result {
 	_ = threads
-	r := emptyResult(g)
-	na, nb := g.NA, g.NB
-	if na == 0 || nb == 0 || g.NumEdges() == 0 {
-		return r
-	}
+	return exactInto(g, &ssp{}, nil)
+}
 
+// exactInto is Exact writing into out (nil allocates a fresh Result)
+// with the kernel scratch k, so a warm (k, out) pair allocates nothing.
+func exactInto(g *bipartite.Graph, k *ssp, out *Result) *Result {
+	if out == nil {
+		out = emptyResult(g)
+	} else {
+		out.Reset(g)
+	}
+	if g.NA == 0 || g.NB == 0 || g.NumEdges() == 0 {
+		return out
+	}
 	maxW := 0.0
 	for _, w := range g.W {
 		if w > maxW {
 			maxW = w
 		}
 	}
-	// Right-side vertex space: real vertices [0, nb), dummies
-	// [nb, nb+na) with dummy of a at nb+a.
-	nr := nb + na
-	cost := func(e int) float64 { return maxW - g.W[e] } // real edge cost
-	dummyCost := maxW
-
-	potL := make([]float64, na)
-	potR := make([]float64, nr)
-	mateL := make([]int, na) // right vertex matched to a, -1 if none yet
-	mateR := make([]int, nr) // left vertex matched to right, -1 if none
-	for i := range mateL {
-		mateL[i] = -1
-	}
-	for j := range mateR {
-		mateR[j] = -1
-	}
-
-	dist := make([]float64, nr)
-	prevL := make([]int, nr)
-	done := make([]bool, nr)
-
-	pq := &pairHeap{}
-	for s := 0; s < na; s++ {
-		// Dijkstra over right vertices from the free left vertex s.
-		for j := range dist {
-			dist[j] = math.Inf(1)
-			prevL[j] = -1
-			done[j] = false
-		}
-		pq.items = pq.items[:0]
-		relax := func(i int, base float64) {
-			lo, hi := g.RowRange(i)
-			for e := lo; e < hi; e++ {
-				j := g.EdgeB[e]
-				if done[j] {
-					continue
-				}
-				nd := base + cost(e) - potL[i] - potR[j]
-				if nd < dist[j] {
-					dist[j] = nd
-					prevL[j] = i
-					heap.Push(pq, pairItem{nd, j})
-				}
-			}
-			dj := nb + i
-			if !done[dj] {
-				nd := base + dummyCost - potL[i] - potR[dj]
-				if nd < dist[dj] {
-					dist[dj] = nd
-					prevL[dj] = i
-					heap.Push(pq, pairItem{nd, dj})
-				}
-			}
-		}
-		relax(s, 0)
-		end := -1
-		for pq.Len() > 0 {
-			it := heap.Pop(pq).(pairItem)
-			j := it.key
-			if done[j] || it.dist > dist[j] {
-				continue
-			}
-			done[j] = true
-			if mateR[j] == -1 {
-				end = j
-				break
-			}
-			relax(mateR[j], dist[j])
-		}
-		if end == -1 {
-			// Unreachable: the dummy partner guarantees a free right
-			// vertex is always reachable.
-			continue
-		}
-		// Potential update keeps reduced costs nonnegative and makes
-		// the augmenting path tight.
-		delta := dist[end]
-		potL[s] += delta
-		for j := 0; j < nr; j++ {
-			if !done[j] || j == end {
-				continue
-			}
-			potR[j] += dist[j] - delta
-			potL[mateR[j]] += delta - dist[j]
-		}
-		// Augment along prevL back to s.
-		j := end
-		for {
-			i := prevL[j]
-			mateR[j] = i
-			j, mateL[i] = mateL[i], j
-			if i == s {
-				break
-			}
-		}
-	}
-
-	for a := 0; a < na; a++ {
-		b := mateL[a]
-		if b < 0 || b >= nb {
+	mateL := k.solve(g.RowPtr, g.EdgeB, g.W, g.NB, maxW)
+	for a, b := range mateL {
+		if b < 0 || b >= g.NB {
 			continue // unmatched or matched to its dummy
 		}
 		e, ok := g.Find(a, b)
 		if !ok || g.W[e] <= 0 {
 			continue // zero-weight tie with the dummy: leave unmatched
 		}
-		r.MateA[a] = b
-		r.MateB[b] = a
-		r.Weight += g.W[e]
-		r.Card++
+		out.MateA[a] = b
+		out.MateB[b] = a
+		out.Weight += g.W[e]
+		out.Card++
 	}
-	return r
-}
-
-// pairItem is a (distance, right-vertex) heap entry with lazy deletion.
-type pairItem struct {
-	dist float64
-	key  int
-}
-
-type pairHeap struct{ items []pairItem }
-
-func (h *pairHeap) Len() int           { return len(h.items) }
-func (h *pairHeap) Less(i, j int) bool { return h.items[i].dist < h.items[j].dist }
-func (h *pairHeap) Swap(i, j int)      { h.items[i], h.items[j] = h.items[j], h.items[i] }
-func (h *pairHeap) Push(x interface{}) { h.items = append(h.items, x.(pairItem)) }
-func (h *pairHeap) Pop() interface{} {
-	old := h.items
-	n := len(old)
-	it := old[n-1]
-	h.items = old[:n-1]
-	return it
+	return out
 }
 
 // ExactSubset solves a maximum-weight matching restricted to a subset

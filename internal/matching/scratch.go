@@ -89,16 +89,21 @@ func (r *Result) IndicatorInto(g *bipartite.Graph, x []float64) []float64 {
 // running matchers in parallel (batched rounding) hold one per worker.
 type MatchInto func(g *bipartite.Graph, threads int, out *Result) *Result
 
-// Reusable returns a MatchInto for the spec. The locally-dominant
-// family and Suitor get genuinely reusable scratch; the remaining
-// algorithms (exact, greedy, path-growing, auction) fall back to the
-// plain Matcher and copy into out, preserving the interface contract
-// without pretending to be allocation-free.
+// Reusable returns a MatchInto for the spec. Exact, the
+// locally-dominant family and Suitor get genuinely reusable scratch;
+// the remaining algorithms (greedy, path-growing, auction) fall back to
+// the plain Matcher and copy into out, preserving the interface
+// contract without pretending to be allocation-free.
 func (s MatcherSpec) Reusable() (MatchInto, error) {
 	if err := s.validateParams(); err != nil {
 		return nil, err
 	}
 	switch s.Name {
+	case "", "exact":
+		k := &ssp{}
+		return func(g *bipartite.Graph, threads int, out *Result) *Result {
+			return exactInto(g, k, out)
+		}, nil
 	case "approx":
 		sc := &LocallyDominantScratch{}
 		opts := LocallyDominantOptions{OneSidedInit: true, SortedAdjacency: s.Sorted, Chunk: s.Chunk}

@@ -151,6 +151,41 @@ func TestTransposePermRejectsAsymmetric(t *testing.T) {
 	}
 }
 
+// TestTransposePermMatchesSearch pins the cursor walk to the
+// definition: perm[k] is the binary-searched position of (Col[k], r),
+// and dropping any one entry of a symmetric pattern, on either side of
+// the diagonal, gets the matrix rejected.
+func TestTransposePermMatchesSearch(t *testing.T) {
+	rng := rand.New(rand.NewSource(17))
+	for trial := 0; trial < 200; trial++ {
+		n := 1 + rng.Intn(30)
+		ts := randomSymmetric(rng, n, rng.Float64())
+		m := mustCSR(t, n, n, ts)
+		perm, err := m.TransposePerm()
+		if err != nil {
+			t.Fatalf("trial %d: symmetric pattern rejected: %v", trial, err)
+		}
+		for r := 0; r < n; r++ {
+			for k := m.Ptr[r]; k < m.Ptr[r+1]; k++ {
+				if kt, ok := m.Find(m.Col[k], r); !ok || perm[k] != kt {
+					t.Fatalf("trial %d: perm[%d] = %d, search gives %d", trial, k, perm[k], kt)
+				}
+			}
+		}
+		if len(ts) == 0 {
+			continue
+		}
+		drop := rng.Intn(len(ts))
+		if ts[drop].Row == ts[drop].Col {
+			continue // a diagonal entry is its own transpose
+		}
+		rest := append(append([]Triplet(nil), ts[:drop]...), ts[drop+1:]...)
+		if _, err := mustCSR(t, n, n, rest).TransposePerm(); err == nil {
+			t.Fatalf("trial %d: pattern missing the transpose of (%d,%d) accepted", trial, ts[drop].Col, ts[drop].Row)
+		}
+	}
+}
+
 func TestRowSumsAndScale(t *testing.T) {
 	m := mustCSR(t, 3, 3, []Triplet{{0, 0, 1}, {0, 2, 2}, {1, 1, -4}, {2, 0, 10}})
 	sums := make([]float64, 3)
