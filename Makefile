@@ -32,15 +32,17 @@ faults:
 chaos:
 	GOMAXPROCS=4 $(GO) test -race -run 'TestChaos|TestRetry|TestQuarantine|TestCrashLoop|TestWatchProgress|TestStall|TestPressure|TestCheckpointFault' ./internal/server/ ./internal/faults/
 
-# Brief fuzzing of the three file-format readers and of the exact
-# matching kernel against its frozen reference (the seed corpora also
-# run as part of every plain `make test`).
+# Brief fuzzing of the three file-format readers, of the exact
+# matching kernel against its frozen reference, and of every reusable
+# matcher against its plain Matcher (the seed corpora also run as part
+# of every plain `make test`).
 fuzz:
 	$(GO) test -fuzz=FuzzReadSMAT -fuzztime=10s ./internal/problemio/
 	$(GO) test -fuzz=FuzzReadMTX -fuzztime=10s ./internal/problemio/
 	$(GO) test -fuzz=FuzzReadCheckpoint -fuzztime=10s ./internal/problemio/
 	$(GO) test -run '^$$' -fuzz='^FuzzExactMatchesReference$$' -fuzztime=10s ./internal/matching/
 	$(GO) test -run '^$$' -fuzz='^FuzzSubsetMatchesReference$$' -fuzztime=10s ./internal/matching/
+	$(GO) test -run '^$$' -fuzz='^FuzzReusableMatchesMatcher$$' -fuzztime=10s ./internal/matching/
 
 # Perf harness: measure the fig. 2 configurations with cmd/benchalign
 # and append machine-readable runs to BENCH_dev.json (see scripts/bench.sh

@@ -241,8 +241,8 @@ func BenchmarkAblationBatchSize(b *testing.B) {
 	for _, batch := range []int{1, 4, 10, 20} {
 		b.Run(fmt.Sprintf("batch%d", batch), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				p.BPAlign(core.BPOptions{
-					Iterations: 5, Batch: batch, Rounding: matching.Approx,
+				runBP(p, core.BPOptions{
+					Iterations: 5, Batch: batch, Matcher: matching.MatcherSpec{Name: "approx"},
 					SkipFinalExact: true,
 				})
 			}
@@ -300,8 +300,8 @@ func BenchmarkComplexityPerNonzero(b *testing.B) {
 		units := float64(p.NNZS() + p.L.NumEdges())
 		b.Run(fmt.Sprintf("scale%g", scale), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				p.BPAlign(core.BPOptions{
-					Iterations: 1, Rounding: matching.Approx, SkipFinalExact: true,
+				runBP(p, core.BPOptions{
+					Iterations: 1, Matcher: matching.MatcherSpec{Name: "approx"}, SkipFinalExact: true,
 				})
 			}
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/units, "ns/unit")
@@ -321,9 +321,9 @@ func BenchmarkAblationRowMatch(b *testing.B) {
 		b.Run(name, func(b *testing.B) {
 			var obj float64
 			for i := 0; i < b.N; i++ {
-				r := p.KlauAlign(core.MROptions{
+				r := runMR(p, core.MROptions{
 					Iterations: 5, GreedyRowMatch: greedy,
-					Rounding: matching.Approx, SkipFinalExact: true,
+					Matcher: matching.MatcherSpec{Name: "approx"}, SkipFinalExact: true,
 				})
 				obj = r.Objective
 			}

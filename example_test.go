@@ -1,6 +1,7 @@
 package netalignmc_test
 
 import (
+	"context"
 	"fmt"
 
 	netalignmc "netalignmc"
@@ -15,7 +16,10 @@ func Example() {
 		{A: 0, B: 0, W: 2}, {A: 0, B: 1, W: 1}, {A: 1, B: 0, W: 1}, {A: 1, B: 1, W: 2},
 	})
 	p, _ := netalignmc.NewProblem(a, b, l, 1, 2)
-	res := p.BPAlign(netalignmc.BPOptions{Iterations: 20})
+	res, _ := p.Align(context.Background(), netalignmc.Options{
+		Method: netalignmc.MethodBP,
+		BP:     netalignmc.BPOptions{Iterations: 20},
+	})
 	fmt.Printf("objective=%.0f overlap=%.0f\n", res.Objective, res.Overlap)
 	fmt.Printf("A0->B%d A1->B%d\n", res.Matching.MateA[0], res.Matching.MateA[1])
 	// Output:
@@ -23,17 +27,20 @@ func Example() {
 	// A0->B0 A1->B1
 }
 
-// ExampleProblem_KlauAlign shows Klau's matching relaxation with its
+// ExampleProblem_Align shows Klau's matching relaxation with its
 // optimality detection: on this instance the Lagrangian bound closes
 // immediately, proving the solution optimal.
-func ExampleProblem_KlauAlign() {
+func ExampleProblem_Align() {
 	a := netalignmc.GraphFromEdges(2, []netalignmc.GraphEdge{{U: 0, V: 1}})
 	b := netalignmc.GraphFromEdges(2, []netalignmc.GraphEdge{{U: 0, V: 1}})
 	l, _ := netalignmc.NewCandidateGraph(2, 2, []netalignmc.CandidateEdge{
 		{A: 0, B: 0, W: 1}, {A: 0, B: 1, W: 1}, {A: 1, B: 0, W: 1}, {A: 1, B: 1, W: 1},
 	})
 	p, _ := netalignmc.NewProblem(a, b, l, 1, 2)
-	res := p.KlauAlign(netalignmc.MROptions{Iterations: 50, GapTolerance: 1e-9})
+	res, _ := p.Align(context.Background(), netalignmc.Options{
+		Method: netalignmc.MethodMR,
+		MR:     netalignmc.MROptions{Iterations: 50, GapTolerance: 1e-9},
+	})
 	fmt.Printf("objective=%.0f converged=%v at iteration %d\n",
 		res.Objective, res.Converged, res.ConvergedIter)
 	// Output:

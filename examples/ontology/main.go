@@ -5,6 +5,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"runtime"
@@ -26,13 +27,19 @@ func main() {
 	for _, batch := range []int{1, 10, 20} {
 		timer := netalignmc.NewStepTimer()
 		start := time.Now()
-		res := p.BPAlign(netalignmc.BPOptions{
-			Iterations: iters,
-			Batch:      batch,
-			Gamma:      0.99,
-			Rounding:   netalignmc.ApproxMatcher,
-			Timer:      timer,
+		res, err := p.Align(context.Background(), netalignmc.Options{
+			Method: netalignmc.MethodBP,
+			BP: netalignmc.BPOptions{
+				Iterations: iters,
+				Batch:      batch,
+				Gamma:      0.99,
+				Matcher:    netalignmc.MatcherSpec{Name: "approx"},
+				Timer:      timer,
+			},
 		})
+		if err != nil {
+			log.Fatal(err)
+		}
 		fmt.Printf("BP(batch=%-2d): objective=%.2f overlap=%.0f elapsed=%v\n",
 			batch, res.Objective, res.Overlap, time.Since(start).Round(time.Millisecond))
 		fmt.Printf("%s\n", timer)

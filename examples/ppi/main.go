@@ -7,6 +7,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"time"
@@ -27,26 +28,26 @@ func main() {
 		st.Name, st.VA, st.VB, st.EL, st.NnzS)
 
 	const iters = 30
-	run := func(name string, f func() *netalignmc.AlignResult) {
+	approx := netalignmc.MatcherSpec{Name: "approx"}
+	run := func(name string, o netalignmc.Options) {
 		start := time.Now()
-		res := f()
+		res, err := p.Align(context.Background(), o)
+		if err != nil {
+			log.Fatal(err)
+		}
 		fmt.Printf("%-12s objective=%9.2f  weight=%8.2f  overlap=%6.0f  (%v)\n",
 			name, res.Objective, res.MatchWeight, res.Overlap,
 			time.Since(start).Round(time.Millisecond))
 	}
 
-	run("BP exact", func() *netalignmc.AlignResult {
-		return p.BPAlign(netalignmc.BPOptions{Iterations: iters})
-	})
-	run("BP approx", func() *netalignmc.AlignResult {
-		return p.BPAlign(netalignmc.BPOptions{Iterations: iters, Rounding: netalignmc.ApproxMatcher})
-	})
-	run("MR exact", func() *netalignmc.AlignResult {
-		return p.KlauAlign(netalignmc.MROptions{Iterations: iters})
-	})
-	run("MR approx", func() *netalignmc.AlignResult {
-		return p.KlauAlign(netalignmc.MROptions{Iterations: iters, Rounding: netalignmc.ApproxMatcher})
-	})
+	run("BP exact", netalignmc.Options{Method: netalignmc.MethodBP,
+		BP: netalignmc.BPOptions{Iterations: iters}})
+	run("BP approx", netalignmc.Options{Method: netalignmc.MethodBP,
+		BP: netalignmc.BPOptions{Iterations: iters, Matcher: approx}})
+	run("MR exact", netalignmc.Options{Method: netalignmc.MethodMR,
+		MR: netalignmc.MROptions{Iterations: iters}})
+	run("MR approx", netalignmc.Options{Method: netalignmc.MethodMR,
+		MR: netalignmc.MROptions{Iterations: iters, Matcher: approx}})
 
 	fmt.Println("\nExpected shape (paper Figs 2-3): the two BP rows nearly identical;")
 	fmt.Println("MR approx at or below MR exact.")

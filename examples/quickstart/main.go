@@ -4,6 +4,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -40,10 +41,16 @@ func main() {
 	}
 	fmt.Printf("problem: |E_L|=%d, nnz(S)=%d\n", p.L.NumEdges(), p.NNZS())
 
-	res := p.BPAlign(netalignmc.BPOptions{
-		Iterations: 50,
-		Rounding:   netalignmc.ApproxMatcher, // parallel half-approximate rounding
+	res, err := p.Align(context.Background(), netalignmc.Options{
+		Method: netalignmc.MethodBP,
+		BP: netalignmc.BPOptions{
+			Iterations: 50,
+			Matcher:    netalignmc.MatcherSpec{Name: "approx"}, // parallel half-approximate rounding
+		},
 	})
+	if err != nil {
+		log.Fatal(err)
+	}
 
 	fmt.Printf("objective:    %.3f\n", res.Objective)
 	fmt.Printf("match weight: %.3f\n", res.MatchWeight)

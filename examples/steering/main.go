@@ -6,6 +6,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -23,10 +24,17 @@ func main() {
 	}
 
 	solve := func(p *netalignmc.Problem) *netalignmc.AlignResult {
-		return p.BPAlign(netalignmc.BPOptions{
-			Iterations: 60,
-			Rounding:   netalignmc.ApproxMatcher,
+		res, err := p.Align(context.Background(), netalignmc.Options{
+			Method: netalignmc.MethodBP,
+			BP: netalignmc.BPOptions{
+				Iterations: 60,
+				Matcher:    netalignmc.MatcherSpec{Name: "approx"},
+			},
 		})
+		if err != nil {
+			log.Fatal(err)
+		}
+		return res
 	}
 	res := solve(p)
 	fmt.Printf("initial solve: objective=%.2f, correct=%.1f%%\n",

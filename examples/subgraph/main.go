@@ -6,6 +6,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -40,7 +41,13 @@ func main() {
 		log.Fatal(err)
 	}
 
-	best := p.BPAlign(netalignmc.BPOptions{Iterations: 200, Gamma: 0.95})
+	best, err := p.Align(context.Background(), netalignmc.Options{
+		Method: netalignmc.MethodBP,
+		BP:     netalignmc.BPOptions{Iterations: 200, Gamma: 0.95},
+	})
+	if err != nil {
+		log.Fatal(err)
+	}
 	fmt.Printf("common edges found: %.0f\n", best.Overlap)
 	fmt.Println("vertex map:")
 	for va, vb := range best.Matching.MateA {

@@ -54,10 +54,10 @@ func TestEndToEndPipeline(t *testing.T) {
 	// 4. Align four ways; all must produce valid matchings and agree
 	// on the rough solution quality for this easy planted instance.
 	results := map[string]*netalignmc.AlignResult{
-		"bp-exact":  p3.BPAlign(netalignmc.BPOptions{Iterations: 30}),
-		"bp-approx": p3.BPAlign(netalignmc.BPOptions{Iterations: 30, Rounding: netalignmc.ApproxMatcher, Batch: 10}),
-		"mr-exact":  p3.KlauAlign(netalignmc.MROptions{Iterations: 30}),
-		"mr-approx": p3.KlauAlign(netalignmc.MROptions{Iterations: 30, Rounding: netalignmc.ApproxMatcher}),
+		"bp-exact":  runBP(p3, netalignmc.BPOptions{Iterations: 30}),
+		"bp-approx": runBP(p3, netalignmc.BPOptions{Iterations: 30, Matcher: netalignmc.MatcherSpec{Name: "approx"}, Batch: 10}),
+		"mr-exact":  runMR(p3, netalignmc.MROptions{Iterations: 30}),
+		"mr-approx": runMR(p3, netalignmc.MROptions{Iterations: 30, Matcher: netalignmc.MatcherSpec{Name: "approx"}}),
 	}
 	idObj := p3.Objective(p3.IdentityIndicator(), 0)
 	for name, r := range results {
@@ -93,7 +93,7 @@ func TestEndToEndPipeline(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		again := p4.BPAlign(netalignmc.BPOptions{Iterations: 10})
+		again := runBP(p4, netalignmc.BPOptions{Iterations: 10})
 		if err := again.Matching.Validate(p4.L); err != nil {
 			t.Fatal(err)
 		}

@@ -216,7 +216,7 @@ func TestFaultAlignNumericStop(t *testing.T) {
 	// Drive the solver into a persistent numerical failure through the
 	// same path main() uses, and check the distinguishable error.
 	plan := faults.NewPlan(3).WithNaN(faults.NaNInjection{Step: core.BPStepDamping, Iter: 2})
-	res, runErr := p.BPAlignCtx(context.Background(), core.BPOptions{Iterations: 6, Faults: plan})
+	res, runErr := p.Align(context.Background(), core.Options{Method: core.MethodBP, BP: core.BPOptions{Iterations: 6, Faults: plan}})
 	if runErr != nil {
 		t.Fatal(runErr)
 	}

@@ -59,10 +59,9 @@ type Options struct {
 	Reorder ReorderOptions
 }
 
-// Align runs the selected alignment method under a context. It is the
-// single entry point the method-specific wrappers (BPAlign, KlauAlign,
-// BPAlignCtx, MRAlignCtx) delegate to; new code should call it
-// directly. A nil context means context.Background().
+// Align runs the selected alignment method under a context; it is the
+// one entry point for BP and MR. A nil context means
+// context.Background().
 //
 // Cancellation, checkpoint/resume, the numeric guard, and the error
 // contract are those of the selected method — see the option types.

@@ -1,6 +1,7 @@
 package core_test
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -9,6 +10,18 @@ import (
 	"netalignmc/internal/matching"
 	"netalignmc/internal/stats"
 )
+
+// runBP and runMR solve p through Problem.Align; a failed solve is
+// reported through the result's Err.
+func runBP(p *core.Problem, o core.BPOptions) *core.AlignResult {
+	res, _ := p.Align(context.Background(), core.Options{Method: core.MethodBP, BP: o})
+	return res
+}
+
+func runMR(p *core.Problem, o core.MROptions) *core.AlignResult {
+	res, _ := p.Align(context.Background(), core.Options{Method: core.MethodMR, MR: o})
+	return res
+}
 
 // smallSynthetic builds a modest planted problem that both methods can
 // solve well: 60-node power-law base, d̄ = 3 noise candidates.
@@ -26,7 +39,7 @@ func smallSynthetic(t testing.TB, seed int64) *core.Problem {
 
 func TestKlauAlignRecoversPlantedAlignment(t *testing.T) {
 	p := smallSynthetic(t, 7)
-	res := p.KlauAlign(core.MROptions{Iterations: 40, Threads: 2})
+	res := runMR(p, core.MROptions{Iterations: 40, Threads: 2})
 	if err := res.Matching.Validate(p.L); err != nil {
 		t.Fatal(err)
 	}
@@ -47,7 +60,7 @@ func TestKlauAlignRecoversPlantedAlignment(t *testing.T) {
 
 func TestBPAlignRecoversPlantedAlignment(t *testing.T) {
 	p := smallSynthetic(t, 7)
-	res := p.BPAlign(core.BPOptions{Iterations: 40, Threads: 2})
+	res := runBP(p, core.BPOptions{Iterations: 40, Threads: 2})
 	if err := res.Matching.Validate(p.L); err != nil {
 		t.Fatal(err)
 	}
@@ -69,8 +82,8 @@ func TestBPApproxMatchesExactQuality(t *testing.T) {
 	// is nearly indistinguishable from BP with exact rounding, because
 	// the iterates do not depend on the matcher.
 	p := smallSynthetic(t, 11)
-	exact := p.BPAlign(core.BPOptions{Iterations: 30, Rounding: matching.Exact})
-	approx := p.BPAlign(core.BPOptions{Iterations: 30, Rounding: matching.Approx})
+	exact := runBP(p, core.BPOptions{Iterations: 30, Matcher: matching.MatcherSpec{Name: "exact"}})
+	approx := runBP(p, core.BPOptions{Iterations: 30, Matcher: matching.MatcherSpec{Name: "approx"}})
 	if approx.Objective < 0.9*exact.Objective {
 		t.Fatalf("BP approx objective %g far below exact %g", approx.Objective, exact.Objective)
 	}
@@ -82,8 +95,8 @@ func TestBPIteratesIndependentOfMatcher(t *testing.T) {
 	// verify by tracing both and comparing the best heuristic's exact
 	// rounding (they used the same iterate stream).
 	p := smallSynthetic(t, 13)
-	a := p.BPAlign(core.BPOptions{Iterations: 25, Rounding: matching.Exact, Trace: true})
-	b := p.BPAlign(core.BPOptions{Iterations: 25, Rounding: matching.Approx, Trace: true})
+	a := runBP(p, core.BPOptions{Iterations: 25, Matcher: matching.MatcherSpec{Name: "exact"}, Trace: true})
+	b := runBP(p, core.BPOptions{Iterations: 25, Matcher: matching.MatcherSpec{Name: "approx"}, Trace: true})
 	if len(a.ObjectiveTrace) != len(b.ObjectiveTrace) {
 		t.Fatalf("trace lengths differ: %d vs %d", len(a.ObjectiveTrace), len(b.ObjectiveTrace))
 	}
@@ -100,9 +113,9 @@ func TestBPBatchEquivalence(t *testing.T) {
 	// best objective must be identical for batch sizes 1, 10, 20 with
 	// a deterministic matcher.
 	p := smallSynthetic(t, 17)
-	base := p.BPAlign(core.BPOptions{Iterations: 20, Batch: 1})
+	base := runBP(p, core.BPOptions{Iterations: 20, Batch: 1})
 	for _, batch := range []int{2, 10, 20} {
-		r := p.BPAlign(core.BPOptions{Iterations: 20, Batch: batch})
+		r := runBP(p, core.BPOptions{Iterations: 20, Batch: batch})
 		if math.Abs(r.Objective-base.Objective) > 1e-9 {
 			t.Fatalf("batch=%d objective %g != batch=1 objective %g", batch, r.Objective, base.Objective)
 		}
@@ -118,8 +131,8 @@ func TestKlauApproxDegradesOrMatches(t *testing.T) {
 	// beat exact by more than numerical noise on average. We assert
 	// validity and that exact MR is at least as good on this instance.
 	p := smallSynthetic(t, 23)
-	exact := p.KlauAlign(core.MROptions{Iterations: 30})
-	approx := p.KlauAlign(core.MROptions{Iterations: 30, Rounding: matching.Approx})
+	exact := runMR(p, core.MROptions{Iterations: 30})
+	approx := runMR(p, core.MROptions{Iterations: 30, Matcher: matching.MatcherSpec{Name: "approx"}})
 	if err := approx.Matching.Validate(p.L); err != nil {
 		t.Fatal(err)
 	}
@@ -130,7 +143,7 @@ func TestKlauApproxDegradesOrMatches(t *testing.T) {
 
 func TestMRUpperBoundsAboveLower(t *testing.T) {
 	p := smallSynthetic(t, 29)
-	res := p.KlauAlign(core.MROptions{Iterations: 20, Trace: true})
+	res := runMR(p, core.MROptions{Iterations: 20, Trace: true})
 	if len(res.Upper) != 20 || len(res.Lower) != 20 {
 		t.Fatalf("trace lengths %d/%d", len(res.Upper), len(res.Lower))
 	}
@@ -145,7 +158,7 @@ func TestMRUpperBoundAboveOptimum(t *testing.T) {
 	// The Lagrangian upper bound must dominate every feasible
 	// objective, in particular the identity alignment's.
 	p := smallSynthetic(t, 31)
-	res := p.KlauAlign(core.MROptions{Iterations: 15, Trace: true})
+	res := runMR(p, core.MROptions{Iterations: 15, Trace: true})
 	idObj := p.Objective(p.IdentityIndicator(), 1)
 	minUpper := math.Inf(1)
 	for _, u := range res.Upper {
@@ -161,14 +174,14 @@ func TestMRUpperBoundAboveOptimum(t *testing.T) {
 func TestStepTimersRecordAllSteps(t *testing.T) {
 	p := smallSynthetic(t, 37)
 	mrTimer := stats.NewStepTimer()
-	p.KlauAlign(core.MROptions{Iterations: 5, Timer: mrTimer})
+	runMR(p, core.MROptions{Iterations: 5, Timer: mrTimer})
 	for _, step := range []string{core.MRStepRowMatch, core.MRStepDaxpy, core.MRStepMatch, core.MRStepObjective, core.MRStepUpdateU} {
 		if mrTimer.Count(step) != 5 {
 			t.Fatalf("MR step %q recorded %d times, want 5", step, mrTimer.Count(step))
 		}
 	}
 	bpTimer := stats.NewStepTimer()
-	p.BPAlign(core.BPOptions{Iterations: 5, Batch: 4, Timer: bpTimer})
+	runBP(p, core.BPOptions{Iterations: 5, Batch: 4, Timer: bpTimer})
 	for _, step := range []string{core.BPStepBoundF, core.BPStepComputeD, core.BPStepOthermax, core.BPStepUpdateS} {
 		if bpTimer.Count(step) != 5 {
 			t.Fatalf("BP step %q recorded %d times, want 5", step, bpTimer.Count(step))
@@ -187,7 +200,7 @@ func TestBPDampingConvergesIterates(t *testing.T) {
 	// With γ close to 0 the damping freezes the iterates immediately;
 	// the run must still produce a valid matching.
 	p := smallSynthetic(t, 41)
-	res := p.BPAlign(core.BPOptions{Iterations: 10, Gamma: 0.01})
+	res := runBP(p, core.BPOptions{Iterations: 10, Gamma: 0.01})
 	if err := res.Matching.Validate(p.L); err != nil {
 		t.Fatal(err)
 	}
@@ -195,7 +208,7 @@ func TestBPDampingConvergesIterates(t *testing.T) {
 
 func TestAlignResultFieldsConsistent(t *testing.T) {
 	p := smallSynthetic(t, 43)
-	res := p.BPAlign(core.BPOptions{Iterations: 10})
+	res := runBP(p, core.BPOptions{Iterations: 10})
 	wantObj := p.Alpha*res.MatchWeight + p.Beta*res.Overlap
 	if math.Abs(res.Objective-wantObj) > 1e-9 {
 		t.Fatalf("objective %g != α·weight + β·overlap = %g", res.Objective, wantObj)
@@ -209,13 +222,13 @@ func TestThreadCountInvariance(t *testing.T) {
 	// With the deterministic exact matcher, results must not depend on
 	// the thread count for either method.
 	p := smallSynthetic(t, 47)
-	mr1 := p.KlauAlign(core.MROptions{Iterations: 12, Threads: 1})
-	mr4 := p.KlauAlign(core.MROptions{Iterations: 12, Threads: 4})
+	mr1 := runMR(p, core.MROptions{Iterations: 12, Threads: 1})
+	mr4 := runMR(p, core.MROptions{Iterations: 12, Threads: 4})
 	if math.Abs(mr1.Objective-mr4.Objective) > 1e-9 {
 		t.Fatalf("MR thread variance: %g vs %g", mr1.Objective, mr4.Objective)
 	}
-	bp1 := p.BPAlign(core.BPOptions{Iterations: 12, Threads: 1})
-	bp4 := p.BPAlign(core.BPOptions{Iterations: 12, Threads: 4, Batch: 4})
+	bp1 := runBP(p, core.BPOptions{Iterations: 12, Threads: 1})
+	bp4 := runBP(p, core.BPOptions{Iterations: 12, Threads: 4, Batch: 4})
 	if math.Abs(bp1.Objective-bp4.Objective) > 1e-9 {
 		t.Fatalf("BP thread variance: %g vs %g", bp1.Objective, bp4.Objective)
 	}
@@ -223,7 +236,7 @@ func TestThreadCountInvariance(t *testing.T) {
 
 func TestSkipFinalExact(t *testing.T) {
 	p := smallSynthetic(t, 53)
-	r := p.BPAlign(core.BPOptions{Iterations: 8, SkipFinalExact: true})
+	r := runBP(p, core.BPOptions{Iterations: 8, SkipFinalExact: true})
 	if err := r.Matching.Validate(p.L); err != nil {
 		t.Fatal(err)
 	}
@@ -239,7 +252,7 @@ func BenchmarkKlauIteration(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		p.KlauAlign(core.MROptions{Iterations: 1, SkipFinalExact: true})
+		runMR(p, core.MROptions{Iterations: 1, SkipFinalExact: true})
 	}
 }
 
@@ -253,6 +266,6 @@ func BenchmarkBPIteration(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		p.BPAlign(core.BPOptions{Iterations: 1, SkipFinalExact: true})
+		runBP(p, core.BPOptions{Iterations: 1, SkipFinalExact: true})
 	}
 }

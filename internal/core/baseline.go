@@ -55,8 +55,9 @@ type BaselineOptions struct {
 	Eta float64
 	// Threads is the worker count (<= 0 means GOMAXPROCS).
 	Threads int
-	// Rounding is the matcher used to round (nil = exact).
-	Rounding matching.Matcher
+	// Matcher selects the matcher used to round (the zero value is
+	// exact matching).
+	Matcher matching.MatcherSpec
 }
 
 // BaselineAlign runs a baseline heuristic and returns its alignment.
@@ -67,9 +68,11 @@ func (p *Problem) BaselineAlign(o BaselineOptions) *AlignResult {
 	if o.Eta <= 0 || o.Eta >= 1 {
 		o.Eta = 0.85
 	}
-	rounding := o.Rounding
-	if rounding == nil {
-		rounding = matching.Exact
+	rounding, err := o.Matcher.Matcher()
+	if err != nil {
+		out := p.emptyResult()
+		out.Err = err
+		return out
 	}
 	threads := o.Threads
 	mEL := p.L.NumEdges()

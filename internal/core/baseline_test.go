@@ -19,7 +19,7 @@ func TestBaselineRoundWeights(t *testing.T) {
 	}
 	// BP must beat or match the round-weights baseline — that is the
 	// point of running the iteration at all.
-	bp := p.BPAlign(core.BPOptions{Iterations: 25})
+	bp := runBP(p, core.BPOptions{Iterations: 25})
 	if bp.Objective < res.Objective-1e-9 {
 		t.Fatalf("BP %g below round-weights baseline %g", bp.Objective, res.Objective)
 	}
@@ -45,10 +45,20 @@ func TestBaselineIsoRank(t *testing.T) {
 func TestBaselineApproxRounding(t *testing.T) {
 	p := smallSynthetic(t, 7)
 	res := p.BaselineAlign(core.BaselineOptions{
-		Kind: core.BaselineIsoRank, Rounding: matching.Approx,
+		Kind: core.BaselineIsoRank, Matcher: matching.MatcherSpec{Name: "approx"},
 	})
 	if err := res.Matching.Validate(p.L); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// An invalid matcher spec fails the baseline through AlignResult.Err,
+// as it fails Align, instead of rounding with some other matcher.
+func TestBaselineRejectsInvalidMatcher(t *testing.T) {
+	p := smallSynthetic(t, 7)
+	res := p.BaselineAlign(core.BaselineOptions{Matcher: matching.MatcherSpec{Name: "exact", Eps: 1}})
+	if res.Err == nil {
+		t.Fatal("invalid matcher spec accepted")
 	}
 }
 
@@ -79,7 +89,7 @@ func TestBaselineNSD(t *testing.T) {
 func TestDampingVariants(t *testing.T) {
 	p := smallSynthetic(t, 9)
 	for _, d := range []core.Damping{core.DampPower, core.DampConstant, core.DampNone} {
-		res := p.BPAlign(core.BPOptions{Iterations: 15, Damp: d, Gamma: 0.9})
+		res := runBP(p, core.BPOptions{Iterations: 15, Damp: d, Gamma: 0.9})
 		if err := res.Matching.Validate(p.L); err != nil {
 			t.Fatalf("%v: %v", d, err)
 		}
@@ -97,7 +107,7 @@ func TestMRGapEarlyStop(t *testing.T) {
 	// loose tolerance the run must stop before the iteration cap and
 	// still return a valid, good matching.
 	p := smallSynthetic(t, 11)
-	res := p.KlauAlign(core.MROptions{Iterations: 200, GapTolerance: 0.05})
+	res := runMR(p, core.MROptions{Iterations: 200, GapTolerance: 0.05})
 	if err := res.Matching.Validate(p.L); err != nil {
 		t.Fatal(err)
 	}
@@ -114,7 +124,7 @@ func TestMRGapEarlyStop(t *testing.T) {
 
 func TestMRGapStopRespectsBounds(t *testing.T) {
 	p := smallSynthetic(t, 13)
-	res := p.KlauAlign(core.MROptions{Iterations: 60, GapTolerance: 1e-6, Trace: true})
+	res := runMR(p, core.MROptions{Iterations: 60, GapTolerance: 1e-6, Trace: true})
 	if res.Converged {
 		// If the gap provably closed, the objective must equal the
 		// final upper bound within tolerance.
@@ -132,8 +142,8 @@ func TestMRGapStopRespectsBounds(t *testing.T) {
 
 func TestMRGreedyRowMatch(t *testing.T) {
 	p := smallSynthetic(t, 21)
-	exact := p.KlauAlign(core.MROptions{Iterations: 15})
-	greedy := p.KlauAlign(core.MROptions{Iterations: 15, GreedyRowMatch: true})
+	exact := runMR(p, core.MROptions{Iterations: 15})
+	greedy := runMR(p, core.MROptions{Iterations: 15, GreedyRowMatch: true})
 	if err := greedy.Matching.Validate(p.L); err != nil {
 		t.Fatal(err)
 	}
@@ -146,7 +156,7 @@ func TestMRGreedyRowMatch(t *testing.T) {
 
 func TestReportAndSteering(t *testing.T) {
 	p := smallSynthetic(t, 17)
-	res := p.BPAlign(core.BPOptions{Iterations: 20})
+	res := runBP(p, core.BPOptions{Iterations: 20})
 
 	// Reference = the planted identity matching.
 	refA := make([]int, p.A.NumVertices())
@@ -201,7 +211,7 @@ func TestReportAndSteering(t *testing.T) {
 	if p2.L.NumEdges() != p.L.NumEdges()-1 {
 		t.Fatalf("removal kept %d edges", p2.L.NumEdges())
 	}
-	res2 := p2.BPAlign(core.BPOptions{Iterations: 15})
+	res2 := runBP(p2, core.BPOptions{Iterations: 15})
 	if res2.Matching.MateA[ra] == rb {
 		t.Fatal("removed candidate reappeared in the new solution")
 	}
@@ -214,7 +224,7 @@ func TestBPWarmStart(t *testing.T) {
 	p := smallSynthetic(t, 33)
 	// Capture the final messages of a first solve via the observer.
 	var lastY, lastZ []float64
-	first := p.BPAlign(core.BPOptions{
+	first := runBP(p, core.BPOptions{
 		Iterations: 25,
 		Observer: func(iter int, y, z []float64) {
 			lastY = append(lastY[:0], y...)
@@ -239,8 +249,8 @@ func TestBPWarmStart(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	warm := p2.BPAlign(core.BPOptions{Iterations: 6, WarmY: wy, WarmZ: wz})
-	cold := p2.BPAlign(core.BPOptions{Iterations: 6})
+	warm := runBP(p2, core.BPOptions{Iterations: 6, WarmY: wy, WarmZ: wz})
+	cold := runBP(p2, core.BPOptions{Iterations: 6})
 	if err := warm.Matching.Validate(p2.L); err != nil {
 		t.Fatal(err)
 	}
@@ -275,7 +285,7 @@ func TestPinCandidates(t *testing.T) {
 	if p2.L.DegreeA(0) != 1 {
 		t.Fatalf("pinned vertex has %d candidates", p2.L.DegreeA(0))
 	}
-	res := p2.BPAlign(core.BPOptions{Iterations: 15})
+	res := runBP(p2, core.BPOptions{Iterations: 15})
 	if res.Matching.MateA[0] != 0 && res.Matching.MateA[0] != -1 {
 		t.Fatalf("pinned vertex matched to %d", res.Matching.MateA[0])
 	}

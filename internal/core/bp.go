@@ -74,20 +74,12 @@ type BPOptions struct {
 	Batch int
 	// Threads is the worker count (<= 0 means GOMAXPROCS).
 	Threads int
-	// Rounding is the matcher used to round iterates; nil selects
-	// exact matching, matching.Approx gives the paper's substitution.
+	// Matcher selects the matcher that rounds iterates: the zero value
+	// is exact matching, {Name: "approx"} the paper's substitution.
 	// Unlike MR, BP's iterate sequence is independent of this choice —
-	// rounding only evaluates quality (Section VII).
-	//
-	// Deprecated: set Matcher instead. A non-nil Rounding still wins
-	// for compatibility, but it forfeits the reusable matcher scratch
-	// (the solver cannot see inside a func value), so the rounding
-	// step allocates every iteration.
-	Rounding matching.Matcher
-	// Matcher declaratively selects the rounding matcher (the zero
-	// value is exact matching, preserving the historical default).
-	// The solver builds one reusable matcher per batch slot from it,
-	// which is what makes steady-state rounding allocation-free.
+	// rounding only evaluates quality (Section VII). The solver builds
+	// one reusable matcher per batch slot from it, which is what makes
+	// steady-state rounding allocation-free.
 	Matcher matching.MatcherSpec
 	// Workspace supplies reusable solver buffers; nil allocates a
 	// private one for the solve. Handing the same workspace to
@@ -150,26 +142,6 @@ func (o *BPOptions) defaults() BPOptions {
 	return opts
 }
 
-// BPAlign runs the belief-propagation message-passing method
-// (Listing 2) to completion. Errors from the resilience options (a
-// mismatched Resume checkpoint, a failing CheckpointFunc) are reported
-// via AlignResult.Err.
-//
-// Deprecated: BPAlign is a thin wrapper over Problem.Align; new code
-// should call Align with Options{Method: MethodBP}.
-func (p *Problem) BPAlign(o BPOptions) *AlignResult {
-	res, _ := p.Align(context.Background(), Options{Method: MethodBP, BP: o})
-	return res
-}
-
-// BPAlignCtx runs the belief-propagation method under a context.
-//
-// Deprecated: BPAlignCtx is a thin wrapper over Problem.Align; new
-// code should call Align with Options{Method: MethodBP}.
-func (p *Problem) BPAlignCtx(ctx context.Context, o BPOptions) (*AlignResult, error) {
-	return p.Align(ctx, Options{Method: MethodBP, BP: o})
-}
-
 // bpAlign runs the belief-propagation message-passing method
 // (Listing 2) under a context. Messages y, z live on the edges of L;
 // the message matrix S^(k) lives on the nonzeros of S. Each iteration
@@ -226,8 +198,7 @@ func (p *Problem) bpAlign(ctx context.Context, o BPOptions, ro ReorderOptions) (
 		ws = NewWorkspace()
 	}
 	ws.ensureBP(mEL, nnz)
-	key, mk := matcherFactory(opts.Rounding, opts.Matcher)
-	if err := ws.ensureRound(p, key, mk, opts.Batch+1); err != nil {
+	if err := ws.ensureRound(p, opts.Matcher, opts.Batch+1); err != nil {
 		res := p.emptyResult()
 		res.Err = err
 		return res, err

@@ -43,8 +43,8 @@ func TestHeuristicsBoundedByBruteOptimum(t *testing.T) {
 	for seed := int64(1); seed <= 8; seed++ {
 		p := tinyRandomProblem(t, seed, 1.5)
 		opt, _ := p.BruteForceAlign(0)
-		bp := p.BPAlign(core.BPOptions{Iterations: 30})
-		mr := p.KlauAlign(core.MROptions{Iterations: 30})
+		bp := runBP(p, core.BPOptions{Iterations: 30})
+		mr := runMR(p, core.MROptions{Iterations: 30})
 		if bp.Objective > opt+1e-9 {
 			t.Fatalf("seed %d: BP %g exceeds optimum %g", seed, bp.Objective, opt)
 		}
@@ -76,7 +76,7 @@ func TestMRGapCertificateMatchesBrute(t *testing.T) {
 	// optimum (the whole point of the bound certificate).
 	for seed := int64(20); seed <= 26; seed++ {
 		p := tinyRandomProblem(t, seed, 1)
-		res := p.KlauAlign(core.MROptions{Iterations: 80, GapTolerance: 1e-9})
+		res := runMR(p, core.MROptions{Iterations: 80, GapTolerance: 1e-9})
 		if !res.Converged {
 			continue
 		}

@@ -93,11 +93,9 @@ func TestCacheFingerprintSensitivity(t *testing.T) {
 
 func TestCacheFingerprintNotCacheable(t *testing.T) {
 	cases := map[string]Options{
-		"rounding func": {BP: BPOptions{Rounding: matching.Approx}},
-		"warm start":    {BP: BPOptions{WarmY: []float64{1}, WarmZ: []float64{1}}},
-		"resume":        {BP: BPOptions{Resume: &Checkpoint{}}},
-		"mr rounding":   {Method: MethodMR, MR: MROptions{Rounding: matching.Approx}},
-		"mr resume":     {Method: MethodMR, MR: MROptions{Resume: &Checkpoint{}}},
+		"warm start": {BP: BPOptions{WarmY: []float64{1}, WarmZ: []float64{1}}},
+		"resume":     {BP: BPOptions{Resume: &Checkpoint{}}},
+		"mr resume":  {Method: MethodMR, MR: MROptions{Resume: &Checkpoint{}}},
 	}
 	for name, o := range cases {
 		if fp, ok := o.CacheFingerprint(); ok {

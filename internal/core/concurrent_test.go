@@ -34,17 +34,17 @@ func TestConcurrentSolvesMatchSerial(t *testing.T) {
 
 	run := func(j job) *core.AlignResult {
 		if j.method == "bp" {
-			res, err := j.p.BPAlignCtx(context.Background(), core.BPOptions{
-				Iterations: 12, Threads: 1, Rounding: matching.Approx,
-			})
+			res, err := j.p.Align(context.Background(), core.Options{Method: core.MethodBP, BP: core.BPOptions{
+				Iterations: 12, Threads: 1, Matcher: matching.MatcherSpec{Name: "approx"},
+			}})
 			if err != nil {
 				t.Error(err)
 			}
 			return res
 		}
-		res, err := j.p.MRAlignCtx(context.Background(), core.MROptions{
-			Iterations: 12, Threads: 1, Rounding: matching.Approx,
-		})
+		res, err := j.p.Align(context.Background(), core.Options{Method: core.MethodMR, MR: core.MROptions{
+			Iterations: 12, Threads: 1, Matcher: matching.MatcherSpec{Name: "approx"},
+		}})
 		if err != nil {
 			t.Error(err)
 		}

@@ -26,10 +26,10 @@ func TestBPRoundingDeterministic(t *testing.T) {
 		t.Fatal(err)
 	}
 	run := func(batch int) *core.AlignResult {
-		res, err := p.BPAlignCtx(context.Background(), core.BPOptions{
-			Iterations: 12, Batch: batch, Threads: 1, Rounding: matching.Approx,
+		res, err := p.Align(context.Background(), core.Options{Method: core.MethodBP, BP: core.BPOptions{
+			Iterations: 12, Batch: batch, Threads: 1, Matcher: matching.MatcherSpec{Name: "approx"},
 			Trace: true,
-		})
+		}})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -37,11 +37,11 @@ func TestEmptyOverlapProblem(t *testing.T) {
 		t.Fatalf("nnz(S) = %d", p.NNZS())
 	}
 	// Both methods degenerate gracefully to weighted matching.
-	bp := p.BPAlign(core.BPOptions{Iterations: 5})
+	bp := runBP(p, core.BPOptions{Iterations: 5})
 	if bp.Objective != 6 || bp.Overlap != 0 {
 		t.Fatalf("BP on overlap-free problem: obj=%g overlap=%g", bp.Objective, bp.Overlap)
 	}
-	mr := p.KlauAlign(core.MROptions{Iterations: 5, GapTolerance: 1e-9})
+	mr := runMR(p, core.MROptions{Iterations: 5, GapTolerance: 1e-9})
 	if mr.Objective != 6 {
 		t.Fatalf("MR on overlap-free problem: %g", mr.Objective)
 	}
@@ -94,7 +94,7 @@ func TestRoundHeuristicErrorsOnBadLength(t *testing.T) {
 func TestBPZeroIterationsDefaults(t *testing.T) {
 	p := emptyOverlapProblem(t)
 	// Iterations <= 0 selects the default (100), not zero work.
-	r := p.BPAlign(core.BPOptions{Iterations: -1})
+	r := runBP(p, core.BPOptions{Iterations: -1})
 	if r.Iterations != 100 {
 		t.Fatalf("default iterations = %d", r.Iterations)
 	}
@@ -103,7 +103,7 @@ func TestBPZeroIterationsDefaults(t *testing.T) {
 func TestWarmStartWrongLengthIgnored(t *testing.T) {
 	p := emptyOverlapProblem(t)
 	// Documented behavior: mismatched warm vectors are ignored.
-	r := p.BPAlign(core.BPOptions{Iterations: 3, WarmY: []float64{1, 2}, WarmZ: nil})
+	r := runBP(p, core.BPOptions{Iterations: 3, WarmY: []float64{1, 2}, WarmZ: nil})
 	if err := r.Matching.Validate(p.L); err != nil {
 		t.Fatal(err)
 	}
@@ -112,7 +112,7 @@ func TestWarmStartWrongLengthIgnored(t *testing.T) {
 func TestObserverSeesEveryIteration(t *testing.T) {
 	p := emptyOverlapProblem(t)
 	calls := 0
-	p.BPAlign(core.BPOptions{Iterations: 7, Observer: func(iter int, y, z []float64) {
+	runBP(p, core.BPOptions{Iterations: 7, Observer: func(iter int, y, z []float64) {
 		calls++
 		if iter != calls {
 			t.Fatalf("observer iter %d at call %d", iter, calls)

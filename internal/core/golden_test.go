@@ -10,17 +10,30 @@ package core
 // either perfect matching).
 
 import (
+	"context"
 	"math"
 	"testing"
 
 	"netalignmc/internal/matching"
 )
 
+// runBP and runMR solve p through Problem.Align; a failed solve is
+// reported through the result's Err.
+func runBP(p *Problem, o BPOptions) *AlignResult {
+	res, _ := p.Align(context.Background(), Options{Method: MethodBP, BP: o})
+	return res
+}
+
+func runMR(p *Problem, o MROptions) *AlignResult {
+	res, _ := p.Align(context.Background(), Options{Method: MethodMR, MR: o})
+	return res
+}
+
 func TestGoldenBPFirstIterations(t *testing.T) {
 	p := tinyProblem(t, 1, 2)
 	type snap struct{ y, z []float64 }
 	var snaps []snap
-	p.BPAlign(BPOptions{
+	runBP(p, BPOptions{
 		Iterations: 2,
 		Gamma:      0.99,
 		Observer: func(iter int, y, z []float64) {
@@ -58,7 +71,7 @@ func TestGoldenBPFirstIterations(t *testing.T) {
 func TestGoldenBPNoDamping(t *testing.T) {
 	p := tinyProblem(t, 1, 2)
 	var firstY []float64
-	p.BPAlign(BPOptions{
+	runBP(p, BPOptions{
 		Iterations: 1,
 		Damp:       DampNone,
 		Observer: func(iter int, y, z []float64) {
@@ -77,7 +90,7 @@ func TestGoldenMRFirstIteration(t *testing.T) {
 	p := tinyProblem(t, 1, 2)
 	var gotUpper, gotObj float64
 	var gotWbar []float64
-	res := p.KlauAlign(MROptions{
+	res := runMR(p, MROptions{
 		Iterations:   5,
 		GapTolerance: 1e-12,
 		Observer: func(iter int, wbar []float64, upper, obj float64) {

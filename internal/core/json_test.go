@@ -27,7 +27,7 @@ func TestStopReasonTextRoundTrip(t *testing.T) {
 
 func TestAlignResultJSON(t *testing.T) {
 	p := tinyProblem(t, 1, 2)
-	res := p.BPAlign(BPOptions{Iterations: 5, Threads: 1})
+	res := runBP(p, BPOptions{Iterations: 5, Threads: 1})
 	if res.Err != nil {
 		t.Fatal(res.Err)
 	}

@@ -72,8 +72,8 @@ func BenchmarkBPStepBreakdown(b *testing.B) {
 	var timer *stats.StepTimer
 	for i := 0; i < b.N; i++ {
 		timer = stats.NewStepTimer()
-		p.BPAlign(core.BPOptions{
-			Iterations: 1, Batch: 2, Rounding: matching.Approx,
+		runBP(p, core.BPOptions{
+			Iterations: 1, Batch: 2, Matcher: matching.MatcherSpec{Name: "approx"},
 			SkipFinalExact: true, Timer: timer,
 		})
 	}
@@ -89,8 +89,8 @@ func BenchmarkMRStepBreakdown(b *testing.B) {
 	var timer *stats.StepTimer
 	for i := 0; i < b.N; i++ {
 		timer = stats.NewStepTimer()
-		p.KlauAlign(core.MROptions{
-			Iterations: 1, Rounding: matching.Approx,
+		runMR(p, core.MROptions{
+			Iterations: 1, Matcher: matching.MatcherSpec{Name: "approx"},
 			SkipFinalExact: true, Timer: timer,
 		})
 	}

@@ -55,8 +55,8 @@ func TestLPBoundDominatesHeuristics(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	bp := p.BPAlign(core.BPOptions{Iterations: 25})
-	mr := p.KlauAlign(core.MROptions{Iterations: 25})
+	bp := runBP(p, core.BPOptions{Iterations: 25})
+	mr := runMR(p, core.MROptions{Iterations: 25})
 	if bp.Objective > res.Bound+1e-6 {
 		t.Fatalf("BP %g exceeds LP bound %g", bp.Objective, res.Bound)
 	}

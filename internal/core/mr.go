@@ -34,22 +34,13 @@ type MROptions struct {
 	UBound float64
 	// Threads is the worker count (<= 0 means GOMAXPROCS).
 	Threads int
-	// Rounding is the bipartite matcher used in Step 3. nil selects
-	// exact matching; pass matching.Approx for the paper's
+	// Matcher selects the bipartite matcher used in Step 3: the zero
+	// value is exact matching, {Name: "approx"} the paper's
 	// substitution. Step 1's per-row matchings are always exact ("we
 	// always use exact matching in the first step... because the
 	// problems in each row tend to be small and we parallelize over
-	// rows").
-	//
-	// Deprecated: set Matcher instead. A non-nil Rounding still wins
-	// for compatibility, but it forfeits the reusable matcher scratch
-	// (the solver cannot see inside a func value), so Step 3 allocates
-	// every iteration.
-	Rounding matching.Matcher
-	// Matcher declaratively selects the Step 3 matcher (the zero value
-	// is exact matching, preserving the historical default). The
-	// solver builds one reusable matcher from it, which is what makes
-	// the steady-state rounding allocation-free.
+	// rows"). The solver builds one reusable matcher from it, which is
+	// what makes the steady-state rounding allocation-free.
 	Matcher matching.MatcherSpec
 	// Workspace supplies reusable solver buffers; nil allocates a
 	// private one for the solve. Handing the same workspace to
@@ -139,17 +130,16 @@ type AlignResult struct {
 	// iteration at which that happened.
 	Converged     bool
 	ConvergedIter int
-	// Stopped records why the run ended (StopMaxIter for a run that
-	// exhausted its iteration budget — the zero value, so results from
-	// the non-context API read the same as before).
+	// Stopped records why the run ended (StopMaxIter, the zero value,
+	// for a run that exhausted its iteration budget).
 	Stopped StopReason
 	// NumericFailures counts numeric-guard trips (rollbacks plus the
 	// final recurring failure if the run stopped with StopNumerics).
 	NumericFailures int
-	// Err records a resilience failure surfaced through the old
-	// non-error API: a mismatched Resume checkpoint, a failing
-	// CheckpointFunc, or an internal invariant violation that was a
-	// panic in earlier versions. The context API also returns it.
+	// Err records a failure that ended the run: a mismatched Resume
+	// checkpoint, a failing CheckpointFunc, an invalid matcher spec,
+	// or an internal invariant violation that was a panic in earlier
+	// versions. Align also returns it as its error.
 	Err error
 	// Upper and Lower trace the per-iteration upper bound w̄ᵀx and
 	// rounded objective (MR only, with Trace set).
@@ -193,26 +183,6 @@ func (p *Problem) finishResult(tr *Tracker, threads int, skipFinal bool) (*Align
 		BestIter:    tr.BestIter,
 		Evaluations: tr.Evaluations,
 	}, nil
-}
-
-// KlauAlign runs Klau's iterative matching relaxation (Listing 1) to
-// completion; it is the context-free form. Errors from the resilience
-// options are reported via AlignResult.Err.
-//
-// Deprecated: KlauAlign is a thin wrapper over Problem.Align; new code
-// should call Align with Options{Method: MethodMR}.
-func (p *Problem) KlauAlign(o MROptions) *AlignResult {
-	res, _ := p.Align(context.Background(), Options{Method: MethodMR, MR: o})
-	return res
-}
-
-// MRAlignCtx runs Klau's iterative matching relaxation (Listing 1)
-// under a context.
-//
-// Deprecated: MRAlignCtx is a thin wrapper over Problem.Align; new
-// code should call Align with Options{Method: MethodMR}.
-func (p *Problem) MRAlignCtx(ctx context.Context, o MROptions) (*AlignResult, error) {
-	return p.Align(ctx, Options{Method: MethodMR, MR: o})
 }
 
 // mrAlign runs Klau's iterative matching relaxation (Listing 1) under a
@@ -263,8 +233,7 @@ func (p *Problem) mrAlign(ctx context.Context, o MROptions, ro ReorderOptions) (
 		ws = NewWorkspace()
 	}
 	ws.ensureMR(mEL, nnz)
-	key, mk := matcherFactory(opts.Rounding, opts.Matcher)
-	if err := ws.ensureRound(p, key, mk, 1); err != nil {
+	if err := ws.ensureRound(p, opts.Matcher, 1); err != nil {
 		res := p.emptyResult()
 		res.Err = err
 		return res, err

@@ -16,11 +16,11 @@ import (
 
 func TestBPOptionMatrix(t *testing.T) {
 	p := smallSynthetic(t, 71)
-	ref := p.BPAlign(core.BPOptions{Iterations: 10})
+	ref := runBP(p, core.BPOptions{Iterations: 10})
 	for _, batch := range []int{1, 7, 20} {
 		for _, threads := range []int{1, 3} {
 			name := fmt.Sprintf("batch=%d/threads=%d", batch, threads)
-			r := p.BPAlign(core.BPOptions{Iterations: 10, Batch: batch, Threads: threads})
+			r := runBP(p, core.BPOptions{Iterations: 10, Batch: batch, Threads: threads})
 			if err := r.Matching.Validate(p.L); err != nil {
 				t.Fatalf("%s: %v", name, err)
 			}
@@ -36,9 +36,9 @@ func TestBPDampingMatrix(t *testing.T) {
 	p := smallSynthetic(t, 73)
 	for _, damp := range []core.Damping{core.DampPower, core.DampConstant, core.DampNone} {
 		for _, gamma := range []float64{0.5, 0.9, 0.99} {
-			for _, rounding := range []matching.Matcher{nil, matching.Approx} {
-				r := p.BPAlign(core.BPOptions{
-					Iterations: 8, Damp: damp, Gamma: gamma, Rounding: rounding,
+			for _, spec := range []matching.MatcherSpec{{}, {Name: "approx"}} {
+				r := runBP(p, core.BPOptions{
+					Iterations: 8, Damp: damp, Gamma: gamma, Matcher: spec,
 				})
 				if err := r.Matching.Validate(p.L); err != nil {
 					t.Fatalf("damp=%v gamma=%g: %v", damp, gamma, err)
@@ -53,11 +53,11 @@ func TestBPDampingMatrix(t *testing.T) {
 
 func TestMROptionMatrix(t *testing.T) {
 	p := smallSynthetic(t, 79)
-	ref := p.KlauAlign(core.MROptions{Iterations: 8})
+	ref := runMR(p, core.MROptions{Iterations: 8})
 	for _, threads := range []int{1, 3} {
 		for _, greedyRows := range []bool{false, true} {
 			name := fmt.Sprintf("threads=%d/greedyRows=%v", threads, greedyRows)
-			r := p.KlauAlign(core.MROptions{
+			r := runMR(p, core.MROptions{
 				Iterations: 8, Threads: threads, GreedyRowMatch: greedyRows,
 			})
 			if err := r.Matching.Validate(p.L); err != nil {
@@ -72,7 +72,7 @@ func TestMROptionMatrix(t *testing.T) {
 
 func TestReportConservedSubgraph(t *testing.T) {
 	p := smallSynthetic(t, 83)
-	res := p.BPAlign(core.BPOptions{Iterations: 20})
+	res := runBP(p, core.BPOptions{Iterations: 20})
 	rep := p.NewReport(res.Matching, nil, 1)
 	sub := rep.ConservedSubgraph(p)
 	if err := sub.Validate(); err != nil {

@@ -17,7 +17,7 @@ import (
 func TestPoolPartitionMatrixBP(t *testing.T) {
 	p := smallSynthetic(t, 107)
 	poolPartitionMatrix(t, p, func(threads int) *core.AlignResult {
-		return p.BPAlign(core.BPOptions{
+		return runBP(p, core.BPOptions{
 			Iterations: 10, Threads: threads,
 			Matcher: matching.MatcherSpec{Name: "approx"},
 		})
@@ -27,7 +27,7 @@ func TestPoolPartitionMatrixBP(t *testing.T) {
 func TestPoolPartitionMatrixMR(t *testing.T) {
 	p := smallSynthetic(t, 109)
 	poolPartitionMatrix(t, p, func(threads int) *core.AlignResult {
-		return p.KlauAlign(core.MROptions{
+		return runMR(p, core.MROptions{
 			Iterations: 10, Threads: threads,
 			Matcher: matching.MatcherSpec{Name: "approx"},
 		})

@@ -8,7 +8,7 @@ func TestProgressReporterBP(t *testing.T) {
 	p := tinyProblem(t, 1, 2)
 	var events []ProgressEvent
 	rep := NewProgressReporter(p, 1, func(ev ProgressEvent) { events = append(events, ev) })
-	res := p.BPAlign(BPOptions{Iterations: 6, Threads: 1, Observer: rep.BPObserver()})
+	res := runBP(p, BPOptions{Iterations: 6, Threads: 1, Observer: rep.BPObserver()})
 	if res.Err != nil {
 		t.Fatal(res.Err)
 	}
@@ -24,7 +24,7 @@ func TestProgressReporterBP(t *testing.T) {
 		}
 	}
 	// The observer-side rounding must not perturb the solve.
-	plain := p.BPAlign(BPOptions{Iterations: 6, Threads: 1})
+	plain := runBP(p, BPOptions{Iterations: 6, Threads: 1})
 	if plain.Objective != res.Objective {
 		t.Fatalf("observer changed the objective: %v vs %v", res.Objective, plain.Objective)
 	}
@@ -34,7 +34,7 @@ func TestProgressReporterMREvery(t *testing.T) {
 	p := tinyProblem(t, 1, 2)
 	var events []ProgressEvent
 	rep := NewProgressReporter(p, 2, func(ev ProgressEvent) { events = append(events, ev) })
-	res := p.KlauAlign(MROptions{Iterations: 7, Threads: 1, Observer: rep.MRObserver()})
+	res := runMR(p, MROptions{Iterations: 7, Threads: 1, Observer: rep.MRObserver()})
 	if res.Err != nil {
 		t.Fatal(res.Err)
 	}

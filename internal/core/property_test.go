@@ -31,7 +31,7 @@ func TestQuickMRBoundSandwich(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		res := p.KlauAlign(core.MROptions{Iterations: 6, Trace: true})
+		res := runMR(p, core.MROptions{Iterations: 6, Trace: true})
 		idObj := p.Objective(p.IdentityIndicator(), 1)
 		minUpper := math.Inf(1)
 		for i := range res.Upper {
@@ -72,15 +72,15 @@ func TestQuickAlignResultsConsistent(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		var rounding matching.Matcher
+		var spec matching.MatcherSpec
 		if approx {
-			rounding = matching.Approx
+			spec.Name = "approx"
 		}
 		var res *core.AlignResult
 		if useBP {
-			res = p.BPAlign(core.BPOptions{Iterations: 5, Rounding: rounding})
+			res = runBP(p, core.BPOptions{Iterations: 5, Matcher: spec})
 		} else {
-			res = p.KlauAlign(core.MROptions{Iterations: 5, Rounding: rounding})
+			res = runMR(p, core.MROptions{Iterations: 5, Matcher: spec})
 		}
 		if res.Matching.Validate(p.L) != nil {
 			return false
@@ -102,8 +102,8 @@ func TestQuickBPBatchInvariance(t *testing.T) {
 			return false
 		}
 		batch := int(batchRaw)%19 + 2
-		a := p.BPAlign(core.BPOptions{Iterations: 6, Batch: 1})
-		b := p.BPAlign(core.BPOptions{Iterations: 6, Batch: batch})
+		a := runBP(p, core.BPOptions{Iterations: 6, Batch: 1})
+		b := runBP(p, core.BPOptions{Iterations: 6, Batch: batch})
 		return math.Abs(a.Objective-b.Objective) <= 1e-9*(1+math.Abs(a.Objective))
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 20}); err != nil {

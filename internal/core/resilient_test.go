@@ -57,7 +57,7 @@ func TestFaultBPCancelledMidRunReturnsPromptly(t *testing.T) {
 	}()
 	start := time.Now()
 	// An iteration budget that would run for minutes uncancelled.
-	res, err := p.BPAlignCtx(ctx, core.BPOptions{Iterations: 1_000_000})
+	res, err := p.Align(ctx, core.Options{Method: core.MethodBP, BP: core.BPOptions{Iterations: 1_000_000}})
 	elapsed := time.Since(start)
 	if err != nil {
 		t.Fatalf("cancellation is not an error: %v", err)
@@ -79,7 +79,7 @@ func TestFaultMRCancelledMidRun(t *testing.T) {
 		cancel()
 	}()
 	start := time.Now()
-	res, err := p.MRAlignCtx(ctx, core.MROptions{Iterations: 1_000_000})
+	res, err := p.Align(ctx, core.Options{Method: core.MethodMR, MR: core.MROptions{Iterations: 1_000_000}})
 	if err != nil {
 		t.Fatalf("cancellation is not an error: %v", err)
 	}
@@ -96,7 +96,7 @@ func TestFaultBPDeadline(t *testing.T) {
 	p := syntheticProblem(t, 400)
 	ctx, cancel := context.WithTimeout(context.Background(), 80*time.Millisecond)
 	defer cancel()
-	res, err := p.BPAlignCtx(ctx, core.BPOptions{Iterations: 1_000_000})
+	res, err := p.Align(ctx, core.Options{Method: core.MethodBP, BP: core.BPOptions{Iterations: 1_000_000}})
 	if err != nil {
 		t.Fatalf("deadline is not an error: %v", err)
 	}
@@ -110,7 +110,7 @@ func TestFaultPreCancelledContext(t *testing.T) {
 	p := syntheticProblem(t, 60)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	res, err := p.BPAlignCtx(ctx, core.BPOptions{Iterations: 100})
+	res, err := p.Align(ctx, core.Options{Method: core.MethodBP, BP: core.BPOptions{Iterations: 100}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -127,7 +127,7 @@ func runBPRecording(p *core.Problem, o core.BPOptions) (map[int][]float64, *core
 	o.Observer = func(iter int, y, z []float64) {
 		iterates[iter] = append([]float64(nil), y...)
 	}
-	res := p.BPAlign(o)
+	res := runBP(p, o)
 	return iterates, res
 }
 
@@ -198,7 +198,7 @@ func TestMRCheckpointResumeBitIdentical(t *testing.T) {
 		o.Observer = func(iter int, wbar []float64, upper, obj float64) {
 			iterates[iter] = append([]float64(nil), wbar...)
 		}
-		res := p.KlauAlign(o)
+		res := runMR(p, o)
 		return iterates, res
 	}
 
@@ -254,7 +254,7 @@ func TestResumeRejectsWrongProblem(t *testing.T) {
 	p := syntheticProblem(t, 40)
 	other := syntheticProblem(t, 50)
 	var ck *core.Checkpoint
-	res := p.BPAlign(core.BPOptions{
+	res := runBP(p, core.BPOptions{
 		Iterations:      4,
 		CheckpointEvery: 2,
 		CheckpointFunc:  func(c *core.Checkpoint) error { ck = c; return nil },
@@ -263,12 +263,12 @@ func TestResumeRejectsWrongProblem(t *testing.T) {
 		t.Fatalf("checkpointing failed: %v", res.Err)
 	}
 	// Wrong problem.
-	bad, err := other.BPAlignCtx(context.Background(), core.BPOptions{Iterations: 4, Resume: ck})
+	bad, err := other.Align(context.Background(), core.Options{Method: core.MethodBP, BP: core.BPOptions{Iterations: 4, Resume: ck}})
 	if err == nil || bad.Err == nil {
 		t.Fatal("checkpoint from a different problem accepted")
 	}
 	// Wrong method.
-	badMR, err := p.MRAlignCtx(context.Background(), core.MROptions{Iterations: 4, Resume: ck})
+	badMR, err := p.Align(context.Background(), core.Options{Method: core.MethodMR, MR: core.MROptions{Iterations: 4, Resume: ck}})
 	if err == nil || badMR.Err == nil {
 		t.Fatal("bp checkpoint accepted by mr")
 	}
@@ -288,9 +288,9 @@ func TestFaultBPTransientNaNEachStep(t *testing.T) {
 			plan := faults.NewPlan(11).WithNaN(faults.NaNInjection{
 				Step: step, Iter: 3, Count: 2, Once: true,
 			})
-			res, err := p.BPAlignCtx(context.Background(), core.BPOptions{
+			res, err := p.Align(context.Background(), core.Options{Method: core.MethodBP, BP: core.BPOptions{
 				Iterations: 8, Faults: plan,
-			})
+			}})
 			if err != nil {
 				t.Fatalf("transient fault became an error: %v", err)
 			}
@@ -320,9 +320,9 @@ func TestFaultBPPersistentNaNEachStep(t *testing.T) {
 			plan := faults.NewPlan(13).WithNaN(faults.NaNInjection{
 				Step: step, Iter: 3, Count: 1, Once: false,
 			})
-			res, err := p.BPAlignCtx(context.Background(), core.BPOptions{
+			res, err := p.Align(context.Background(), core.Options{Method: core.MethodBP, BP: core.BPOptions{
 				Iterations: 8, Faults: plan,
-			})
+			}})
 			if err != nil {
 				t.Fatalf("numerics stop is not an error: %v", err)
 			}
@@ -349,9 +349,9 @@ func TestFaultMRTransientNaNEachStep(t *testing.T) {
 			plan := faults.NewPlan(17).WithNaN(faults.NaNInjection{
 				Step: step, Iter: 2, Count: 2, Once: true,
 			})
-			res, err := p.MRAlignCtx(context.Background(), core.MROptions{
+			res, err := p.Align(context.Background(), core.Options{Method: core.MethodMR, MR: core.MROptions{
 				Iterations: 8, Faults: plan,
-			})
+			}})
 			if err != nil {
 				t.Fatalf("transient fault became an error: %v", err)
 			}
@@ -374,9 +374,9 @@ func TestFaultMRPersistentNaNEachStep(t *testing.T) {
 			plan := faults.NewPlan(19).WithNaN(faults.NaNInjection{
 				Step: step, Iter: 2, Count: 1, Once: false,
 			})
-			res, err := p.MRAlignCtx(context.Background(), core.MROptions{
+			res, err := p.Align(context.Background(), core.Options{Method: core.MethodMR, MR: core.MROptions{
 				Iterations: 8, Faults: plan,
-			})
+			}})
 			if err != nil {
 				t.Fatalf("numerics stop is not an error: %v", err)
 			}
@@ -397,7 +397,7 @@ func TestFaultGuardDisabled(t *testing.T) {
 	plan := faults.NewPlan(23).WithNaN(faults.NaNInjection{
 		Step: core.BPStepDamping, Iter: 2, Count: 4, Once: true,
 	})
-	res := p.BPAlign(core.BPOptions{Iterations: 6, Faults: plan, GuardLimit: -1})
+	res := runBP(p, core.BPOptions{Iterations: 6, Faults: plan, GuardLimit: -1})
 	if res.NumericFailures != 0 {
 		t.Fatal("disabled guard recorded failures")
 	}
@@ -407,11 +407,11 @@ func TestFaultGuardDisabled(t *testing.T) {
 func TestFaultCheckpointFuncFailureStopsRun(t *testing.T) {
 	p := syntheticProblem(t, 40)
 	boom := bytes.ErrTooLarge // any sentinel error
-	res, err := p.BPAlignCtx(context.Background(), core.BPOptions{
+	res, err := p.Align(context.Background(), core.Options{Method: core.MethodBP, BP: core.BPOptions{
 		Iterations:      10,
 		CheckpointEvery: 3,
 		CheckpointFunc:  func(c *core.Checkpoint) error { return boom },
-	})
+	}})
 	if err != boom || res.Err != boom {
 		t.Fatalf("checkpoint failure not surfaced: %v / %v", err, res.Err)
 	}
@@ -435,9 +435,9 @@ func TestStopReasonStrings(t *testing.T) {
 	}
 }
 
-func TestBPAlignCtxNilContext(t *testing.T) {
+func TestAlignNilContext(t *testing.T) {
 	p := syntheticProblem(t, 30)
-	res, err := p.BPAlignCtx(nil, core.BPOptions{Iterations: 3}) //nolint:staticcheck
+	res, err := p.Align(nil, core.Options{Method: core.MethodBP, BP: core.BPOptions{Iterations: 3}}) //nolint:staticcheck
 	if err != nil {
 		t.Fatal(err)
 	}

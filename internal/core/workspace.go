@@ -122,19 +122,18 @@ func (ws *Workspace) ensureMR(mEL, nnz int) {
 	ws.d = growFloat64(ws.d, mEL)
 }
 
-// ensureRound prepares n rounding slots for problem p. key identifies
-// the matcher configuration: slots are rebuilt when it changes, and an
-// empty key (a legacy Rounding func, whose identity cannot be
-// compared) rebuilds every solve. mk constructs one reusable matcher
-// per slot so concurrent batch tasks never share scratch.
-func (ws *Workspace) ensureRound(p *Problem, key string, mk func() (matching.MatchInto, error), n int) error {
-	if key == "" || ws.roundKey != key || ws.roundL != p.L {
+// ensureRound prepares n rounding slots for problem p, each with its
+// own reusable matcher built from spec so concurrent batch tasks never
+// share scratch. Slots are rebuilt when the spec's canonical text or
+// the candidate graph changes.
+func (ws *Workspace) ensureRound(p *Problem, spec matching.MatcherSpec, n int) error {
+	if key := spec.String(); ws.roundKey != key || ws.roundL != p.L {
 		ws.slots = ws.slots[:0]
 		ws.roundKey = key
 		ws.roundL = p.L
 	}
 	for len(ws.slots) < n {
-		m, err := mk()
+		m, err := spec.Reusable()
 		if err != nil {
 			return err
 		}
@@ -145,26 +144,6 @@ func (ws *Workspace) ensureRound(p *Problem, key string, mk func() (matching.Mat
 		s.lw.W = nil
 	}
 	return nil
-}
-
-// matcherFactory normalizes the two ways options select a rounding
-// matcher — the legacy Rounding func and the declarative MatcherSpec —
-// into a per-slot constructor plus the workspace cache key. The legacy
-// func wins when both are set (it predates the spec).
-func matcherFactory(rounding matching.Matcher, spec matching.MatcherSpec) (key string, mk func() (matching.MatchInto, error)) {
-	if rounding != nil {
-		return "", func() (matching.MatchInto, error) {
-			return func(g *bipartite.Graph, threads int, out *matching.Result) *matching.Result {
-				r := rounding(g, threads)
-				if out == nil {
-					return r
-				}
-				out.CopyFrom(r)
-				return out
-			}, nil
-		}
-	}
-	return "spec:" + spec.String(), spec.Reusable
 }
 
 // roundSlotRun rounds the slot's heuristic: match L under the

@@ -182,7 +182,7 @@ func TestFusedKernelsBitIdentical(t *testing.T) {
 			for _, batch := range []int{1, 4} {
 				name := fmt.Sprintf("threads=%d/batch=%d/damp=%v", threads, batch, damp)
 				bits, observe := observedBits()
-				p.BPAlign(core.BPOptions{
+				runBP(p, core.BPOptions{
 					Iterations: 12, Batch: batch, Threads: threads, Damp: damp,
 					Matcher:  matching.MatcherSpec{Name: "approx"},
 					Observer: observe,

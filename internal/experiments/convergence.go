@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"strings"
 
@@ -39,8 +40,17 @@ func Convergence(c Config, problem string) (*ConvergenceResult, error) {
 		return nil, err
 	}
 	res := &ConvergenceResult{Problem: problem}
-	mr := p.KlauAlign(core.MROptions{Iterations: c.Iterations, Trace: true, Rounding: matching.Approx})
-	bp := p.BPAlign(core.BPOptions{Iterations: c.Iterations, Trace: true, Rounding: matching.Approx})
+	approx := matching.MatcherSpec{Name: "approx"}
+	mr, err := p.Align(context.Background(), core.Options{Method: core.MethodMR,
+		MR: core.MROptions{Iterations: c.Iterations, Trace: true, Matcher: approx}})
+	if err != nil {
+		return nil, fmt.Errorf("experiments: MR trace on %s: %w", problem, err)
+	}
+	bp, err := p.Align(context.Background(), core.Options{Method: core.MethodBP,
+		BP: core.BPOptions{Iterations: c.Iterations, Trace: true, Matcher: approx}})
+	if err != nil {
+		return nil, fmt.Errorf("experiments: BP trace on %s: %w", problem, err)
+	}
 	res.MRTrace = mr.ObjectiveTrace
 	res.BPTrace = bp.ObjectiveTrace
 	res.MRDecreases, res.MRBestAt = traceStats(res.MRTrace)

@@ -188,20 +188,9 @@ func Fig2(c Config, degrees []float64) (*Fig2Result, error) {
 				idObj = 1
 			}
 			for _, method := range allMethods {
-				var r *core.AlignResult
-				switch method {
-				case "MR-exact":
-					r = p.KlauAlign(core.MROptions{Iterations: c.Iterations})
-				case "MR-approx":
-					r = p.KlauAlign(core.MROptions{Iterations: c.Iterations, Rounding: matching.Approx})
-				case "BP-exact":
-					r = p.BPAlign(core.BPOptions{Iterations: c.Iterations})
-				case "BP-approx":
-					r = p.BPAlign(core.BPOptions{Iterations: c.Iterations, Rounding: matching.Approx})
-				case "round-w":
-					r = p.BaselineAlign(core.BaselineOptions{Kind: core.BaselineRoundWeights})
-				case "isorank":
-					r = p.BaselineAlign(core.BaselineOptions{Kind: core.BaselineIsoRank, Iterations: c.Iterations})
+				r, err := fig2Run(p, method, c.Iterations)
+				if err != nil {
+					return nil, fmt.Errorf("experiments: %s at degree %g: %w", method, deg, err)
 				}
 				objFracs[method] = append(objFracs[method], r.Objective/idObj)
 				corrFracs[method] = append(corrFracs[method], core.CorrectMatchFraction(r.Matching))
@@ -245,6 +234,33 @@ func Fig2(c Config, degrees []float64) (*Fig2Result, error) {
 	return res, nil
 }
 
+// fig2Run solves p with one of the Figure 2 methods or baselines.
+func fig2Run(p *core.Problem, method string, iters int) (*core.AlignResult, error) {
+	var o core.Options
+	switch method {
+	case "MR-exact", "MR-approx":
+		o.Method = core.MethodMR
+		o.MR = core.MROptions{Iterations: iters}
+		if method == "MR-approx" {
+			o.MR.Matcher.Name = "approx"
+		}
+	case "BP-exact", "BP-approx":
+		o.BP = core.BPOptions{Iterations: iters}
+		if method == "BP-approx" {
+			o.BP.Matcher.Name = "approx"
+		}
+	case "round-w":
+		r := p.BaselineAlign(core.BaselineOptions{Kind: core.BaselineRoundWeights})
+		return r, r.Err
+	case "isorank":
+		r := p.BaselineAlign(core.BaselineOptions{Kind: core.BaselineIsoRank, Iterations: iters})
+		return r, r.Err
+	default:
+		return nil, fmt.Errorf("unknown Figure 2 method")
+	}
+	return p.Align(context.Background(), o)
+}
+
 // ---------------------------------------------------------------------------
 // Figure 3: weight/overlap frontier over a parameter sweep.
 // ---------------------------------------------------------------------------
@@ -284,18 +300,26 @@ func Fig3(c Config, problem string) (*Fig3Result, error) {
 		p.Alpha, p.Beta = ab.a, ab.b
 		for _, g := range gammas {
 			for _, approx := range []bool{false, true} {
-				var rounding matching.Matcher
+				var spec matching.MatcherSpec
 				name := "exact"
 				if approx {
-					rounding = matching.Approx
+					spec.Name = "approx"
 					name = "approx"
 				}
-				mr := p.KlauAlign(core.MROptions{Iterations: c.Iterations, Gamma: 0.5, Rounding: rounding})
+				mr, err := p.Align(context.Background(), core.Options{Method: core.MethodMR,
+					MR: core.MROptions{Iterations: c.Iterations, Gamma: 0.5, Matcher: spec}})
+				if err != nil {
+					return nil, fmt.Errorf("experiments: MR-%s on %s: %w", name, problem, err)
+				}
 				res.Points = append(res.Points, Fig3Point{
 					Method: "MR-" + name, Alpha: ab.a, Beta: ab.b, Gamma: g,
 					Weight: mr.MatchWeight, Overlap: mr.Overlap,
 				})
-				bp := p.BPAlign(core.BPOptions{Iterations: c.Iterations, Gamma: g, Rounding: rounding})
+				bp, err := p.Align(context.Background(), core.Options{Method: core.MethodBP,
+					BP: core.BPOptions{Iterations: c.Iterations, Gamma: g, Matcher: spec}})
+				if err != nil {
+					return nil, fmt.Errorf("experiments: BP-%s on %s: %w", name, problem, err)
+				}
 				res.Points = append(res.Points, Fig3Point{
 					Method: "BP-" + name, Alpha: ab.a, Beta: ab.b, Gamma: g,
 					Weight: bp.MatchWeight, Overlap: bp.Overlap,

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"strings"
 	"testing"
 	"time"
@@ -216,15 +217,24 @@ func TestSoakLargeStandIn(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	base := p.BaselineAlign(core.BaselineOptions{Kind: core.BaselineRoundWeights, Rounding: matching.Approx})
-	bp := p.BPAlign(core.BPOptions{Iterations: 40, Batch: 20, Rounding: matching.Approx})
+	approx := matching.MatcherSpec{Name: "approx"}
+	base := p.BaselineAlign(core.BaselineOptions{Kind: core.BaselineRoundWeights, Matcher: approx})
+	bp, err := p.Align(context.Background(), core.Options{Method: core.MethodBP,
+		BP: core.BPOptions{Iterations: 40, Batch: 20, Matcher: approx}})
+	if err != nil {
+		t.Fatal(err)
+	}
 	if err := bp.Matching.Validate(p.L); err != nil {
 		t.Fatal(err)
 	}
 	if bp.Objective < base.Objective {
 		t.Fatalf("BP %g below round-weights baseline %g at scale 0.05", bp.Objective, base.Objective)
 	}
-	mr := p.KlauAlign(core.MROptions{Iterations: 15, Rounding: matching.Approx})
+	mr, err := p.Align(context.Background(), core.Options{Method: core.MethodMR,
+		MR: core.MROptions{Iterations: 15, Matcher: approx}})
+	if err != nil {
+		t.Fatal(err)
+	}
 	if err := mr.Matching.Validate(p.L); err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"runtime"
@@ -38,18 +39,24 @@ func Headline(c Config, problem string) (*HeadlineResult, error) {
 	res := &HeadlineResult{Problem: problem, Threads: runtime.GOMAXPROCS(0)}
 
 	start := time.Now()
-	slow := p.BPAlign(core.BPOptions{
+	slow, err := p.Align(context.Background(), core.Options{Method: core.MethodBP, BP: core.BPOptions{
 		Iterations: c.Iterations, Threads: 1, Batch: 1,
-		Gamma: 0.99, Rounding: matching.Exact,
-	})
+		Gamma: 0.99, Matcher: matching.MatcherSpec{Name: "exact"},
+	}})
+	if err != nil {
+		return nil, fmt.Errorf("experiments: headline exact run on %s: %w", problem, err)
+	}
 	res.SlowTime = time.Since(start)
 	res.SlowObjective = slow.Objective
 
 	start = time.Now()
-	fast := p.BPAlign(core.BPOptions{
+	fast, err := p.Align(context.Background(), core.Options{Method: core.MethodBP, BP: core.BPOptions{
 		Iterations: c.Iterations, Threads: res.Threads, Batch: 20,
-		Gamma: 0.99, Rounding: matching.Approx,
-	})
+		Gamma: 0.99, Matcher: matching.MatcherSpec{Name: "approx"},
+	}})
+	if err != nil {
+		return nil, fmt.Errorf("experiments: headline approx run on %s: %w", problem, err)
+	}
 	res.FastTime = time.Since(start)
 	res.FastObjective = fast.Objective
 

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"strings"
 
@@ -53,8 +54,16 @@ func LPComparison(c Config, degrees []float64) (*LPComparisonResult, error) {
 		if err != nil {
 			return nil, fmt.Errorf("experiments: LP at degree %g: %w", deg, err)
 		}
-		bp := p.BPAlign(core.BPOptions{Iterations: c.Iterations})
-		mr := p.KlauAlign(core.MROptions{Iterations: c.Iterations})
+		bp, err := p.Align(context.Background(), core.Options{Method: core.MethodBP,
+			BP: core.BPOptions{Iterations: c.Iterations}})
+		if err != nil {
+			return nil, fmt.Errorf("experiments: BP at degree %g: %w", deg, err)
+		}
+		mr, err := p.Align(context.Background(), core.Options{Method: core.MethodMR,
+			MR: core.MROptions{Iterations: c.Iterations}})
+		if err != nil {
+			return nil, fmt.Errorf("experiments: MR at degree %g: %w", deg, err)
+		}
 		rw := p.BaselineAlign(core.BaselineOptions{Kind: core.BaselineRoundWeights})
 		ir := p.BaselineAlign(core.BaselineOptions{Kind: core.BaselineIsoRank})
 		res.Points = append(res.Points, LPComparisonPoint{

@@ -1,6 +1,7 @@
 package gen
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -198,7 +199,11 @@ func TestRMATProblem(t *testing.T) {
 	if ov := p.Overlap(p.IdentityIndicator(), 1); ov <= 0 {
 		t.Fatalf("identity overlap %g", ov)
 	}
-	res := p.BPAlign(core.BPOptions{Iterations: 15})
+	res, err := p.Align(context.Background(), core.Options{Method: core.MethodBP,
+		BP: core.BPOptions{Iterations: 15}})
+	if err != nil {
+		t.Fatal(err)
+	}
 	if err := res.Matching.Validate(p.L); err != nil {
 		t.Fatal(err)
 	}

@@ -151,9 +151,13 @@ func ErdosRenyi(rng *rand.Rand, n int, p float64) *Graph {
 		return b.Build()
 	}
 	logq := math.Log(1 - p)
-	// Walk the strictly-upper-triangular pair index with geometric gaps.
+	// Walk the strictly-upper-triangular pair index (row-major; row u
+	// holds n-1-u entries) with geometric gaps. The index only grows,
+	// so a row cursor advances with it: rowStart is the index of
+	// (u, u+1).
 	total := int64(n) * int64(n-1) / 2
 	idx := int64(-1)
+	u, rowStart := 0, int64(0)
 	for {
 		r := rng.Float64()
 		if r == 0 {
@@ -163,26 +167,13 @@ func ErdosRenyi(rng *rand.Rand, n int, p float64) *Graph {
 		if idx >= total || idx < 0 {
 			break
 		}
-		u, v := pairFromIndex(idx, n)
-		b.AddEdge(u, v)
+		for row := int64(n - 1 - u); idx >= rowStart+row; row-- {
+			rowStart += row
+			u++
+		}
+		b.AddEdge(u, u+1+int(idx-rowStart))
 	}
 	return b.Build()
-}
-
-// pairFromIndex maps a linear index over the strictly upper triangle
-// of an n×n matrix (row-major) to the pair (u, v), u < v.
-func pairFromIndex(idx int64, n int) (int, int) {
-	// Row u holds n-1-u entries; find u by solving the triangular sum.
-	u := 0
-	remaining := idx
-	for {
-		row := int64(n - 1 - u)
-		if remaining < row {
-			return u, u + 1 + int(remaining)
-		}
-		remaining -= row
-		u++
-	}
 }
 
 // Perturb returns a copy of g with extra edges added: each non-edge

@@ -121,6 +121,68 @@ func TestErdosRenyiEdgeCases(t *testing.T) {
 	}
 }
 
+// pairFromIndex maps a linear index over the strictly upper triangle
+// of an n×n matrix (row-major) to the pair (u, v), u < v, by walking
+// the rows from 0. It is the reference for ErdosRenyi's row cursor.
+func pairFromIndex(idx int64, n int) (int, int) {
+	u := 0
+	remaining := idx
+	for {
+		row := int64(n - 1 - u)
+		if remaining < row {
+			return u, u + 1 + int(remaining)
+		}
+		remaining -= row
+		u++
+	}
+}
+
+// erdosRenyiRef is ErdosRenyi's sampling loop with each pair found by
+// pairFromIndex.
+func erdosRenyiRef(rng *rand.Rand, n int, p float64) *Graph {
+	b := NewBuilder(n)
+	logq := math.Log(1 - p)
+	total := int64(n) * int64(n-1) / 2
+	idx := int64(-1)
+	for {
+		r := rng.Float64()
+		if r == 0 {
+			r = math.SmallestNonzeroFloat64
+		}
+		idx += 1 + int64(math.Floor(math.Log(r)/logq))
+		if idx >= total || idx < 0 {
+			break
+		}
+		b.AddEdge(pairFromIndex(idx, n))
+	}
+	return b.Build()
+}
+
+// TestErdosRenyiMatchesReference pins ErdosRenyi's edge lists, and the
+// random stream it leaves behind, to the row-walking reference: every
+// seeded problem built on it depends on both.
+func TestErdosRenyiMatchesReference(t *testing.T) {
+	for _, n := range []int{2, 3, 50, 1000} {
+		for _, p := range []float64{0.001, 0.02, 0.5} {
+			for seed := int64(1); seed <= 4; seed++ {
+				rng, ref := rand.New(rand.NewSource(seed)), rand.New(rand.NewSource(seed))
+				got, want := ErdosRenyi(rng, n, p).Edges(), erdosRenyiRef(ref, n, p).Edges()
+				if len(got) != len(want) {
+					t.Fatalf("n=%d p=%g seed=%d: %d edges, want %d", n, p, seed, len(got), len(want))
+				}
+				for i := range got {
+					if got[i] != want[i] {
+						t.Fatalf("n=%d p=%g seed=%d: edge %d = %v, want %v", n, p, seed, i, got[i], want[i])
+					}
+				}
+				if a, b := rng.Int63(), ref.Int63(); a != b {
+					t.Fatalf("n=%d p=%g seed=%d: random stream diverged after generation", n, p, seed)
+				}
+			}
+		}
+	}
+}
+
 func TestPairFromIndex(t *testing.T) {
 	n := 6
 	idx := int64(0)

@@ -461,10 +461,10 @@ func TestRestartResumeBitIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ref, err := p.BPAlignCtx(context.Background(), core.BPOptions{
+	ref, err := p.Align(context.Background(), core.Options{Method: core.MethodBP, BP: core.BPOptions{
 		Iterations: spec.Iterations, Batch: 1, Threads: 1,
-		Rounding: matching.Approx,
-	})
+		Matcher: matching.MatcherSpec{Name: "approx"},
+	}})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -9,7 +9,8 @@
 // — Klau's matching relaxation (MR) and belief propagation (BP) — with
 // a pluggable rounding step: either exact maximum-weight bipartite
 // matching or the parallel locally-dominant half-approximation whose
-// substitution is the paper's contribution.
+// substitution is the paper's contribution. Problem.Align runs either
+// method; a MatcherSpec in its options picks the rounding matcher.
 //
 // Quick start:
 //
@@ -20,10 +21,14 @@
 //	// ... build gb and the candidate graph l similarly ...
 //	p, err := netalignmc.NewProblem(ga, gb, l, 1, 2)
 //	if err != nil { ... }
-//	res := p.BPAlign(netalignmc.BPOptions{
-//		Iterations: 100,
-//		Rounding:   netalignmc.ApproxMatcher, // parallel half-approx rounding
+//	res, err := p.Align(context.Background(), netalignmc.Options{
+//		Method: netalignmc.MethodBP,
+//		BP: netalignmc.BPOptions{
+//			Iterations: 100,
+//			Matcher:    netalignmc.MatcherSpec{Name: "approx"}, // parallel half-approx rounding
+//		},
 //	})
+//	if err != nil { ... }
 //	fmt.Println(res.Objective, res.Matching.MateA)
 //
 // The subpackages under internal implement the substrates (CSR graphs
@@ -72,8 +77,8 @@ func NewCandidateGraph(na, nb int, edges []CandidateEdge) (*CandidateGraph, erro
 }
 
 // Problem is a network alignment instance with its derived overlap
-// matrix S. Alignment methods are methods on Problem: KlauAlign (MR)
-// and BPAlign.
+// matrix S. Problem.Align runs either alignment method on it (BP or
+// Klau's MR); BaselineAlign runs the simpler baselines.
 type Problem = core.Problem
 
 // NewProblem assembles a problem and builds the overlap matrix S using
@@ -91,17 +96,8 @@ const (
 	MethodMR = core.MethodMR
 )
 
-// Options configures Problem.Align, the unified context-first entry
-// point; the method-specific wrappers (BPAlign, KlauAlign, BPAlignCtx,
-// MRAlignCtx) are deprecated thin wrappers over it:
-//
-//	res, err := p.Align(ctx, netalignmc.Options{
-//		Method: netalignmc.MethodBP,
-//		BP: netalignmc.BPOptions{
-//			Iterations: 100,
-//			Matcher:    netalignmc.MatcherSpec{Name: "approx"},
-//		},
-//	})
+// Options configures Problem.Align, the one context-first entry point
+// for both methods (see the package quick start).
 type Options = core.Options
 
 // Workspace is an arena of reusable solver buffers; pass one via
@@ -138,9 +134,8 @@ const (
 // Checkpoint is a serializable snapshot of a BP or MR run; produce one
 // via BPOptions/MROptions.CheckpointEvery + CheckpointFunc, serialize
 // it with WriteCheckpoint, and feed it back through the Resume option
-// to continue the run bit for bit. Problem.BPAlignCtx and
-// Problem.MRAlignCtx accept a context.Context for cancellation and
-// deadlines.
+// to continue the run bit for bit. Problem.Align's context.Context
+// handles cancellation and deadlines.
 type Checkpoint = core.Checkpoint
 
 // FaultInjector corrupts solver state at named steps; used by the
@@ -152,8 +147,9 @@ type FaultInjector = core.FaultInjector
 // cardinality).
 type Matching = matching.Result
 
-// Matcher computes a matching of a candidate graph; alignment methods
-// accept any Matcher for their rounding step.
+// Matcher computes a matching of a candidate graph. The values below
+// are standalone matchers for direct use; the alignment methods take
+// their rounding matcher as a MatcherSpec instead.
 type Matcher = matching.Matcher
 
 // MatcherSpec declaratively selects and parameterizes a rounding
@@ -161,9 +157,9 @@ type Matcher = matching.Matcher
 // "path-growing", "auction"); it marshals to/from text ("suitor",
 // "locally-dominant(sorted=true)", "auction(eps=0.01)"), so it travels
 // through flags, JSON job specs and config files. The zero value is
-// exact matching. Prefer it over raw Matcher funcs in BPOptions and
-// MROptions: the solvers build reusable (allocation-free) matcher
-// state from a spec, which they cannot do for an opaque func.
+// exact matching. It is how BPOptions, MROptions and BaselineOptions
+// pick their rounding matcher; the solvers build reusable
+// (allocation-free) matcher state from it.
 type MatcherSpec = matching.MatcherSpec
 
 // ParseMatcherSpec parses a matcher spec string.

@@ -2,11 +2,24 @@ package netalignmc_test
 
 import (
 	"bytes"
+	"context"
 	"math"
 	"testing"
 
 	netalignmc "netalignmc"
 )
+
+// runBP and runMR solve p through Problem.Align; a failed solve is
+// reported through the result's Err.
+func runBP(p *netalignmc.Problem, o netalignmc.BPOptions) *netalignmc.AlignResult {
+	res, _ := p.Align(context.Background(), netalignmc.Options{Method: netalignmc.MethodBP, BP: o})
+	return res
+}
+
+func runMR(p *netalignmc.Problem, o netalignmc.MROptions) *netalignmc.AlignResult {
+	res, _ := p.Align(context.Background(), netalignmc.Options{Method: netalignmc.MethodMR, MR: o})
+	return res
+}
 
 // buildTinyProblem assembles the 2x2 identity problem through the
 // public API only, exercising every construction entry point.
@@ -31,7 +44,7 @@ func buildTinyProblem(t testing.TB) *netalignmc.Problem {
 
 func TestPublicAPIQuickstart(t *testing.T) {
 	p := buildTinyProblem(t)
-	res := p.BPAlign(netalignmc.BPOptions{Iterations: 10, Rounding: netalignmc.ApproxMatcher})
+	res := runBP(p, netalignmc.BPOptions{Iterations: 10, Matcher: netalignmc.MatcherSpec{Name: "approx"}})
 	if err := res.Matching.Validate(p.L); err != nil {
 		t.Fatal(err)
 	}
@@ -66,7 +79,7 @@ func TestPublicAPISynthetic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res := p.KlauAlign(netalignmc.MROptions{Iterations: 15})
+	res := runMR(p, netalignmc.MROptions{Iterations: 15})
 	if frac := netalignmc.CorrectMatchFraction(res.Matching); frac < 0.5 {
 		t.Fatalf("recovered only %.2f of planted alignment", frac)
 	}
@@ -111,7 +124,7 @@ func TestPublicAPIProblemIO(t *testing.T) {
 func TestPublicAPITimer(t *testing.T) {
 	p := buildTinyProblem(t)
 	timer := netalignmc.NewStepTimer()
-	p.BPAlign(netalignmc.BPOptions{Iterations: 3, Timer: timer})
+	runBP(p, netalignmc.BPOptions{Iterations: 3, Timer: timer})
 	if timer.GrandTotal() <= 0 {
 		t.Fatal("timer recorded nothing")
 	}
@@ -195,7 +208,7 @@ func TestPublicAPIBaselineAndSteering(t *testing.T) {
 	if base.Objective <= 0 {
 		t.Fatal("baseline failed")
 	}
-	res := p.BPAlign(netalignmc.BPOptions{Iterations: 10, Damp: netalignmc.DampConstant, Gamma: 0.9})
+	res := runBP(p, netalignmc.BPOptions{Iterations: 10, Damp: netalignmc.DampConstant, Gamma: 0.9})
 	rep := p.NewReport(res.Matching, nil, 1)
 	if rep.Card != res.Matching.Card {
 		t.Fatal("report inconsistent")
@@ -218,7 +231,7 @@ func TestPublicAPIObjectiveConsistency(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res := p.BPAlign(netalignmc.BPOptions{Iterations: 8})
+	res := runBP(p, netalignmc.BPOptions{Iterations: 8})
 	if math.Abs(res.Objective-(p.Alpha*res.MatchWeight+p.Beta*res.Overlap)) > 1e-9 {
 		t.Fatal("objective decomposition inconsistent")
 	}
